@@ -1,6 +1,8 @@
 #include "ssd/ftl.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdlib>
 #include <memory>
 #include <utility>
 
@@ -20,6 +22,23 @@ std::uint64_t mix64(std::uint64_t x) {
   x *= 0xC4CEB9FE1A85EC53ULL;
   x ^= x >> 33;
   return x;
+}
+
+// Bits of bitmap word `w` that fall inside the ppn range [first, end).
+std::uint64_t range_mask(std::uint32_t w, std::uint32_t first, std::uint32_t end) {
+  const std::uint64_t lo = static_cast<std::uint64_t>(w) * 64;
+  std::uint64_t mask = ~0ULL;
+  if (first > lo) mask &= ~0ULL << (first - lo);
+  if (end < lo + 64) mask &= ~0ULL >> (lo + 64 - end);
+  return mask;
+}
+
+// A table of `n` elements from calloc (zeroed) or malloc (uninitialised).
+template <typename T>
+T* alloc_table(std::uint64_t n, bool zeroed) {
+  void* p = zeroed ? std::calloc(n, sizeof(T)) : std::malloc(n * sizeof(T));
+  PAS_CHECK_MSG(p != nullptr, "out of memory for FTL tables");
+  return static_cast<T*>(p);
 }
 
 }  // namespace
@@ -42,14 +61,13 @@ Ftl::Ftl(const SsdConfig& config, IssueNand issue, Defer defer, Rng rng)
 
   const std::uint64_t total_blocks = static_cast<std::uint64_t>(dies_) * blocks_per_die_;
   const std::uint64_t total_punits = total_blocks * units_per_block_;
-  PAS_CHECK_MSG(total_punits < kUnmapped, "physical space exceeds 32-bit ppn encoding");
+  PAS_CHECK_MSG(total_punits < kNone, "physical space exceeds 32-bit ppn encoding");
   PAS_CHECK_MSG(total_punits >= total_lpns_ + kHostReserveBlocks * units_per_block_,
                 "overprovisioning too small");
 
-  // The tables themselves (tens of MB per device: map, rmap, block bitmaps)
-  // are NOT built here — see ensure_tables(). A monitored fleet constructs
-  // hundreds of drives that may never see one IO; faulting in gigabytes of
-  // kUnmapped entries up front would dominate such runs.
+  // The tables themselves (tens of MB per device) are NOT built here — see
+  // ensure_tables(). A monitored fleet constructs hundreds of drives that
+  // may never see one IO.
   total_free_blocks_ = total_blocks;
 }
 
@@ -57,10 +75,17 @@ void Ftl::ensure_tables() {
   if (tables_ready_) return;
   tables_ready_ = true;
   const std::uint64_t total_blocks = static_cast<std::uint64_t>(dies_) * blocks_per_die_;
-  map_.assign(total_lpns_, kUnmapped);
-  rmap_.assign(total_blocks * units_per_block_, kUnmapped);
+  const std::uint64_t total_punits = total_blocks * units_per_block_;
+  // Zero means "unmapped" (map_ holds ppn + 1) and "invalid", so map_ and
+  // the bitmap come from calloc: it hands out untouched zero pages when the
+  // allocator has no free memory, and zeroes already-resident memory when it
+  // does, either way without a fill pass over fresh pages. rmap_ is never
+  // read where it was not written (only under a valid bit), so it stays
+  // uninitialised.
+  map_.reset(alloc_table<std::uint32_t>(total_lpns_, /*zeroed=*/true));
+  rmap_.reset(alloc_table<std::uint32_t>(total_punits, /*zeroed=*/false));
+  valid_bits_.reset(alloc_table<std::uint64_t>((total_punits + 63) / 64, /*zeroed=*/true));
   blocks_.resize(total_blocks);
-  for (auto& b : blocks_) b.bitmap.assign((units_per_block_ + 63) / 64, 0);
   free_lists_.resize(static_cast<std::size_t>(dies_));
   for (int d = 0; d < dies_; ++d) {
     for (std::uint32_t i = 0; i < blocks_per_die_; ++i) {
@@ -68,9 +93,9 @@ void Ftl::ensure_tables() {
           static_cast<std::uint32_t>(d) * blocks_per_die_ + i);
     }
   }
-  gc_head_.assign(units_per_block_ + 1, kUnmapped);
-  gc_next_.assign(total_blocks, kUnmapped);
-  gc_prev_.assign(total_blocks, kUnmapped);
+  gc_head_.assign(units_per_block_ + 1, kNone);
+  gc_next_.assign(total_blocks, kNone);
+  gc_prev_.assign(total_blocks, kNone);
   gc_min_bucket_ = static_cast<std::uint32_t>(gc_head_.size());  // all empty
 }
 
@@ -79,7 +104,7 @@ void Ftl::gc_index_insert(std::uint32_t blk_idx) {
   const std::uint32_t old_head = gc_head_[v];
   gc_next_[blk_idx] = old_head;
   gc_prev_[blk_idx] = kGcHead;
-  if (old_head != kUnmapped) gc_prev_[old_head] = blk_idx;
+  if (old_head != kNone) gc_prev_[old_head] = blk_idx;
   gc_head_[v] = blk_idx;
   if (v < gc_min_bucket_) gc_min_bucket_ = v;
 }
@@ -87,21 +112,21 @@ void Ftl::gc_index_insert(std::uint32_t blk_idx) {
 void Ftl::gc_index_remove(std::uint32_t blk_idx) {
   const std::uint32_t next = gc_next_[blk_idx];
   const std::uint32_t prev = gc_prev_[blk_idx];
-  PAS_DCHECK(prev != kUnmapped);
+  PAS_DCHECK(prev != kNone);
   if (prev == kGcHead) {
     gc_head_[blocks_[blk_idx].valid] = next;
   } else {
     gc_next_[prev] = next;
   }
-  if (next != kUnmapped) gc_prev_[next] = prev;
-  gc_prev_[blk_idx] = kUnmapped;
+  if (next != kNone) gc_prev_[next] = prev;
+  gc_prev_[blk_idx] = kNone;
 }
 
 void Ftl::gc_refresh(std::uint32_t blk_idx) {
   const auto& blk = blocks_[blk_idx];
   const bool candidate =
       blk.state == Block::State::kSealed && !blk.queued_dead && !blk.moving;
-  const bool indexed = gc_prev_[blk_idx] != kUnmapped;
+  const bool indexed = gc_prev_[blk_idx] != kNone;
   if (candidate && !indexed) {
     gc_index_insert(blk_idx);
   } else if (!candidate && indexed) {
@@ -111,47 +136,78 @@ void Ftl::gc_refresh(std::uint32_t blk_idx) {
 
 bool Ftl::is_mapped(std::uint64_t lpn) const {
   PAS_CHECK(lpn < total_lpns_);
-  return tables_ready_ && map_[lpn] != kUnmapped;
+  return tables_ready_ && map_[lpn] != 0;
 }
 
-void Ftl::set_valid(std::uint32_t ppn, std::uint64_t lpn) {
-  const std::uint32_t blk_idx = block_of(ppn);
-  auto& blk = blocks_[blk_idx];
-  const std::uint32_t unit = ppn % units_per_block_;
-  PAS_DCHECK(!test_valid(blk_idx, unit));
-  blk.bitmap[unit / 64] |= (1ULL << (unit % 64));
-  if (gc_prev_[blk_idx] != kUnmapped) {
-    // Indexed candidate changing buckets (valid can rise on a sealed block:
-    // the stripe that sealed it is mapped after the seal).
-    gc_index_remove(blk_idx);
-    ++blk.valid;
-    gc_index_insert(blk_idx);
-  } else {
-    ++blk.valid;
+void Ftl::set_valid_range(std::uint32_t first, std::uint32_t n) {
+  const std::uint32_t end = first + n;
+  for (std::uint32_t w = first / 64; w * 64 < end; ++w) {
+    const std::uint64_t mask = range_mask(w, first, end);
+    PAS_DCHECK((valid_bits_[w] & mask) == 0);
+    valid_bits_[w] |= mask;
   }
-  rmap_[ppn] = static_cast<std::uint32_t>(lpn);
 }
 
-void Ftl::clear_valid(std::uint32_t ppn) {
-  const std::uint32_t blk_idx = block_of(ppn);
-  auto& blk = blocks_[blk_idx];
-  const std::uint32_t unit = ppn % units_per_block_;
-  PAS_DCHECK(test_valid(blk_idx, unit));
-  blk.bitmap[unit / 64] &= ~(1ULL << (unit % 64));
-  PAS_CHECK(blk.valid > 0);
-  if (gc_prev_[blk_idx] != kUnmapped) {
-    gc_index_remove(blk_idx);
-    --blk.valid;
-    gc_index_insert(blk_idx);
-  } else {
-    --blk.valid;
+template <typename Fn>
+void Ftl::for_each_valid(std::uint32_t first, std::uint32_t n, Fn fn) const {
+  const std::uint32_t end = first + n;
+  for (std::uint32_t w = first / 64; w * 64 < end; ++w) {
+    for (std::uint64_t bits = valid_bits_[w] & range_mask(w, first, end); bits != 0;
+         bits &= bits - 1) {
+      fn(w * 64 + static_cast<std::uint32_t>(std::countr_zero(bits)));
+    }
   }
-  if (blk.valid == 0) note_possibly_dead(blk_idx);
 }
 
-bool Ftl::test_valid(std::uint32_t blk_idx, std::uint32_t unit) const {
-  const auto& blk = blocks_[blk_idx];
-  return (blk.bitmap[unit / 64] >> (unit % 64)) & 1ULL;
+void Ftl::set_block_valid(std::uint32_t blk_idx, std::uint32_t valid) {
+  // An indexed candidate changes buckets (valid can rise on a sealed block:
+  // the stripe that sealed it is mapped after the seal).
+  const bool indexed = gc_prev_[blk_idx] != kNone;
+  if (indexed) gc_index_remove(blk_idx);
+  blocks_[blk_idx].valid = valid;
+  if (indexed) gc_index_insert(blk_idx);
+}
+
+void Ftl::drop_valid(std::uint32_t blk_idx, std::uint32_t units) {
+  const std::uint32_t valid = blocks_[blk_idx].valid;
+  PAS_CHECK(valid >= units);
+  set_block_valid(blk_idx, valid - units);
+  if (valid == units) note_possibly_dead(blk_idx);
+}
+
+template <typename NextLpn>
+void Ftl::map_stripe(std::uint32_t ppn_start, std::uint32_t units, NextLpn next_lpn) {
+  // The whole stripe lies in one block, whose count rises once, up front:
+  // units this stripe then replaces in its own block (an lpn it carries
+  // twice, or older data of the block it seals) can never take that count
+  // to zero and queue a block that is receiving live data.
+  set_valid_range(ppn_start, units);
+  const std::uint32_t stripe_blk = block_of(ppn_start);
+  set_block_valid(stripe_blk, blocks_[stripe_blk].valid + units);
+  // Replaced units are counted per run of units that share a block. A
+  // block other than the stripe's only loses units here, so it reaches zero
+  // at the end of its last run: dead blocks queue in the order a per-unit
+  // count would have queued them.
+  std::uint32_t run_blk = kNone;
+  std::uint32_t run_units = 0;
+  for (std::uint32_t i = 0; i < units; ++i) {
+    const std::uint64_t lpn = next_lpn();
+    if (const std::uint32_t old = map_[lpn]; old != 0) {
+      const std::uint32_t old_ppn = old - 1;
+      PAS_DCHECK(test_valid(old_ppn));
+      valid_bits_[old_ppn / 64] &= ~(1ULL << (old_ppn % 64));
+      const std::uint32_t blk = block_of(old_ppn);
+      if (blk != run_blk) {
+        if (run_units > 0) drop_valid(run_blk, run_units);
+        run_blk = blk;
+        run_units = 0;
+      }
+      ++run_units;
+    }
+    map_[lpn] = ppn_start + i + 1;
+    rmap_[ppn_start + i] = static_cast<std::uint32_t>(lpn);
+  }
+  if (run_units > 0) drop_valid(run_blk, run_units);
 }
 
 bool Ftl::open_block_on_die(int die, WriteStream& stream, bool for_gc) {
@@ -172,11 +228,11 @@ bool Ftl::open_block_on_die(int die, WriteStream& stream, bool for_gc) {
 }
 
 std::uint32_t Ftl::allocate_stripe(WriteStream& stream, bool for_gc) {
-  if (stream.open_block.empty()) stream.open_block.assign(static_cast<std::size_t>(dies_), kUnmapped);
+  if (stream.open_block.empty()) stream.open_block.assign(static_cast<std::size_t>(dies_), kNone);
   for (int probe = 0; probe < dies_; ++probe) {
     const int die = (stream.rr + probe) % dies_;
     std::uint32_t blk_idx = stream.open_block[static_cast<std::size_t>(die)];
-    if (blk_idx == kUnmapped || blocks_[blk_idx].state != Block::State::kOpen) {
+    if (blk_idx == kNone || blocks_[blk_idx].state != Block::State::kOpen) {
       if (!open_block_on_die(die, stream, for_gc)) continue;  // die (or pool) exhausted
       blk_idx = stream.open_block[static_cast<std::size_t>(die)];
     }
@@ -184,14 +240,16 @@ std::uint32_t Ftl::allocate_stripe(WriteStream& stream, bool for_gc) {
     const std::uint32_t ppn = blk_idx * units_per_block_ + blk.next_unit;
     blk.next_unit += units_per_stripe_;
     if (blk.next_unit >= units_per_block_) {
+      // No dead check here: the caller is about to map this stripe into the
+      // block, which leaves at least one valid unit, so an emptied block is
+      // caught when its count next reaches zero.
       blk.state = Block::State::kSealed;
       gc_refresh(blk_idx);  // becomes a victim candidate
-      note_possibly_dead(blk_idx);
     }
     stream.rr = (die + 1) % dies_;
     return ppn;
   }
-  return kUnmapped;
+  return kNone;
 }
 
 void Ftl::write_units(std::vector<std::uint64_t> lpns, sim::UniqueCallback done) {
@@ -217,9 +275,15 @@ void Ftl::write_runs(const Run* runs, std::size_t nruns, std::uint32_t units,
   PAS_CHECK(nruns > 0);
   PAS_CHECK(units > 0 && units <= units_per_stripe_);
   PAS_CHECK(done != nullptr);
+  std::uint64_t total = 0;
+  for (std::size_t r = 0; r < nruns; ++r) {
+    PAS_CHECK(runs[r].first + runs[r].len <= total_lpns_);
+    total += runs[r].len;
+  }
+  PAS_CHECK(total == units);
   ensure_tables();
   // Preserve FIFO order with any writes already stalled on free space.
-  if (!stalled_writes_.empty() || !try_write_runs(runs, nruns, units, done)) {
+  if (!stalled_writes_.empty() || !try_write_runs(runs, units, done)) {
     StalledWrite s;
     if (!stalled_spare_.empty()) {
       s = std::move(stalled_spare_.back());
@@ -233,25 +297,20 @@ void Ftl::write_runs(const Run* runs, std::size_t nruns, std::uint32_t units,
   }
 }
 
-bool Ftl::try_write_runs(const Run* runs, std::size_t nruns, std::uint32_t units,
-                         sim::UniqueCallback& done) {
+bool Ftl::try_write_runs(const Run* runs, std::uint32_t units, sim::UniqueCallback& done) {
   gc_pump();
   const std::uint32_t ppn_start = allocate_stripe(host_stream_, /*for_gc=*/false);
-  if (ppn_start == kUnmapped) return false;
+  if (ppn_start == kNone) return false;
 
-  std::uint32_t i = 0;
-  for (std::size_t r = 0; r < nruns; ++r) {
-    for (std::uint32_t k = 0; k < runs[r].len; ++k, ++i) {
-      const std::uint64_t lpn = runs[r].first + k;
-      PAS_CHECK(lpn < total_lpns_);
-      const std::uint32_t old = map_[lpn];
-      if (old != kUnmapped) clear_valid(old);
-      const auto ppn = ppn_start + i;
-      map_[lpn] = ppn;
-      set_valid(ppn, lpn);
+  const Run* run = runs;
+  std::uint32_t k = 0;
+  map_stripe(ppn_start, units, [&] {
+    while (k == run->len) {
+      ++run;
+      k = 0;
     }
-  }
-  PAS_CHECK(i == units);
+    return run->first + k++;
+  });
   stats_.host_units_written += units;
   ++stats_.nand_programs;
 
@@ -266,7 +325,7 @@ bool Ftl::try_write_runs(const Run* runs, std::size_t nruns, std::uint32_t units
 
 std::uint32_t Ftl::fanin_create(std::size_t count, sim::UniqueCallback done) {
   std::uint32_t idx;
-  if (fanin_free_ != kUnmapped) {
+  if (fanin_free_ != kNone) {
     idx = fanin_free_;
     fanin_free_ = fanins_[idx].next_free;
   } else {
@@ -315,8 +374,8 @@ void Ftl::add_page_unit(std::uint64_t key, int die) {
 // read from a pseudo location (preconditioned-drive behaviour).
 void Ftl::add_read_unit(std::uint64_t lpn) {
   PAS_CHECK(lpn < total_lpns_);
-  const std::uint32_t ppn = map_[lpn];
-  if (ppn != kUnmapped) {
+  if (const std::uint32_t entry = map_[lpn]; entry != 0) {
+    const std::uint32_t ppn = entry - 1;
     add_page_unit(page_of(ppn), die_of_block(block_of(ppn)));
   } else if (config_.unmapped_read_hits_media) {
     const std::uint64_t pseudo_page = mix64(lpn / units_per_page_);
@@ -335,14 +394,14 @@ void Ftl::issue_page_reads(sim::UniqueCallback done) {
   // carry the continuation in the op itself.
   const std::uint32_t fanin = pages_scratch_.size() > 1
                                   ? fanin_create(pages_scratch_.size(), std::move(done))
-                                  : kUnmapped;
+                                  : kNone;
   for (const auto& p : pages_scratch_) {
     ++stats_.nand_page_reads;
     nand::NandOp op;
     op.kind = nand::OpKind::kRead;
     op.die = p.die;
     op.transfer_bytes = p.units * config_.sector_bytes;
-    if (fanin == kUnmapped) {
+    if (fanin == kNone) {
       op.done = std::move(done);
     } else {
       op.done = [this, fanin] { fanin_complete(fanin); };
@@ -448,7 +507,7 @@ void Ftl::issue_erase(std::uint32_t blk_idx) {
 
 std::uint32_t Ftl::victim_pick_indexed() {
   if (!tables_ready_) return kNoVictim;
-  while (gc_min_bucket_ < gc_head_.size() && gc_head_[gc_min_bucket_] == kUnmapped) {
+  while (gc_min_bucket_ < gc_head_.size() && gc_head_[gc_min_bucket_] == kNone) {
     ++gc_min_bucket_;
   }
   if (gc_min_bucket_ >= gc_head_.size()) return kNoVictim;  // no candidate
@@ -456,7 +515,7 @@ std::uint32_t Ftl::victim_pick_indexed() {
   // (small) minimum bucket for the lowest block index reproduces the legacy
   // linear scan's first-lowest-index tie-break exactly.
   std::uint32_t best = kNoVictim;
-  for (std::uint32_t b = gc_head_[gc_min_bucket_]; b != kUnmapped; b = gc_next_[b]) {
+  for (std::uint32_t b = gc_head_[gc_min_bucket_]; b != kNone; b = gc_next_[b]) {
     best = std::min(best, b);
   }
   return best;
@@ -505,19 +564,18 @@ void Ftl::start_move() {
   blk.moving = true;
   gc_refresh(victim);  // mid-move blocks leave the victim index
   PAS_CHECK(blk.valid > 0);  // dead blocks go through the erase pipeline
-  // Snapshot the valid units, then read the pages that hold them. The unit
-  // scan walks ppns in ascending order, so page coalescing always hits the
-  // check-last fast path and the page list comes out insertion-ordered
-  // (ascending page), not hash-iteration-ordered.
+  // Snapshot the valid units, then read the pages that hold them. The scan
+  // walks the block's bitmap a word at a time in ascending ppn order, so
+  // page coalescing always hits the check-last fast path and the page list
+  // comes out insertion-ordered (ascending page), not hash-iteration-ordered.
   std::vector<MovePair> pairs = gc_vec_take();
   pairs.reserve(blk.valid);
   pages_scratch_.clear();
-  for (std::uint32_t unit = 0; unit < units_per_block_; ++unit) {
-    if (!test_valid(victim, unit)) continue;
-    const std::uint32_t ppn = victim * units_per_block_ + unit;
+  const int die = die_of_block(victim);
+  for_each_valid(block_first_ppn(victim), units_per_block_, [&](std::uint32_t ppn) {
     pairs.emplace_back(rmap_[ppn], ppn);
-    add_page_unit(page_of(ppn), die_of_block(victim));
-  }
+    add_page_unit(page_of(ppn), die);
+  });
   const std::uint32_t fanin =
       fanin_create(pages_scratch_.size(), [this, pairs = std::move(pairs), victim]() mutable {
         gc_move_batch(std::move(pairs), victim, nullptr);
@@ -553,11 +611,11 @@ void Ftl::gc_move_batch(std::vector<MovePair> pairs, std::uint32_t victim_blk,
     while (i < pairs.size() && chunk.size() < units_per_stripe_) {
       const auto& [lpn, old_ppn] = pairs[i];
       ++i;
-      if (map_[lpn] == old_ppn) chunk.push_back({lpn, old_ppn});
+      if (map_[lpn] == old_ppn + 1) chunk.push_back({lpn, old_ppn});
     }
     if (chunk.empty()) continue;
     const std::uint32_t ppn_start = allocate_stripe(gc_stream_, /*for_gc=*/true);
-    if (ppn_start == kUnmapped) {
+    if (ppn_start == kNone) {
       // Concurrent reclaim transiently exhausted the pool: retry the rest of
       // this batch once in-flight erases release blocks. The batch guard on
       // `programs_left` keeps the move alive across the retry.
@@ -572,13 +630,11 @@ void Ftl::gc_move_batch(std::vector<MovePair> pairs, std::uint32_t victim_blk,
       });
       return;
     }
-    for (std::size_t k = 0; k < chunk.size(); ++k) {
-      const auto [lpn, old_ppn] = chunk[k];
-      clear_valid(old_ppn);
-      const auto ppn = ppn_start + static_cast<std::uint32_t>(k);
-      map_[lpn] = ppn;
-      set_valid(ppn, lpn);
-    }
+    // Every unit of the chunk is still mapped to its victim ppn, so
+    // map_stripe replaces exactly those.
+    auto next = chunk.begin();
+    map_stripe(ppn_start, static_cast<std::uint32_t>(chunk.size()),
+               [&] { return (next++)->first; });
     stats_.gc_units_moved += chunk.size();
     ++stats_.nand_programs;
     ++*programs_left;
@@ -602,7 +658,7 @@ void Ftl::gc_move_batch(std::vector<MovePair> pairs, std::uint32_t victim_blk,
 void Ftl::drain_stalled() {
   while (!stalled_writes_.empty()) {
     auto& s = stalled_writes_.front();
-    if (!try_write_runs(s.runs.data(), s.runs.size(), s.units, s.done)) return;
+    if (!try_write_runs(s.runs.data(), s.units, s.done)) return;
     stalled_spare_.push_back(std::move(s));  // recycle the run-vector capacity
     stalled_writes_.pop_front();
   }
@@ -612,16 +668,78 @@ void Ftl::precondition_sequential() {
   ensure_tables();
   for (std::uint64_t lpn = 0; lpn < total_lpns_; lpn += units_per_stripe_) {
     const std::uint32_t ppn_start = allocate_stripe(host_stream_, /*for_gc=*/false);
-    PAS_CHECK(ppn_start != kUnmapped);
-    const std::uint64_t n = std::min<std::uint64_t>(units_per_stripe_, total_lpns_ - lpn);
-    for (std::uint64_t k = 0; k < n; ++k) {
-      const std::uint64_t l = lpn + k;
-      if (map_[l] != kUnmapped) clear_valid(map_[l]);
-      const auto ppn = ppn_start + static_cast<std::uint32_t>(k);
-      map_[l] = ppn;
-      set_valid(ppn, l);
+    PAS_CHECK(ppn_start != kNone);
+    const auto n = static_cast<std::uint32_t>(
+        std::min<std::uint64_t>(units_per_stripe_, total_lpns_ - lpn));
+    std::uint64_t next = lpn;
+    map_stripe(ppn_start, n, [&] { return next++; });
+  }
+}
+
+std::string Ftl::audit() const {
+  if (!tables_ready_) return {};
+  const auto nblocks = static_cast<std::uint32_t>(blocks_.size());
+  const std::uint32_t total_punits = nblocks * units_per_block_;
+  auto at = [](const char* what, std::uint64_t i) { return what + std::to_string(i); };
+
+  // Map and reverse map: every mapped lpn points at a valid ppn that maps
+  // back to it. rmap_ is single-valued, so no two lpns share a ppn, and
+  // equal totals of mapped lpns and valid units make it a bijection.
+  std::uint64_t mapped = 0;
+  for (std::uint64_t lpn = 0; lpn < total_lpns_; ++lpn) {
+    if (map_[lpn] == 0) continue;
+    ++mapped;
+    const std::uint32_t ppn = map_[lpn] - 1;
+    if (ppn >= total_punits || !test_valid(ppn)) {
+      return at("map_ points at an invalid ppn: lpn ", lpn);
+    }
+    if (rmap_[ppn] != lpn) return at("rmap_ disagrees with map_: lpn ", lpn);
+  }
+  std::uint64_t valid_units = 0;
+  for (std::uint32_t blk = 0; blk < nblocks; ++blk) {
+    std::uint32_t popcount = 0;
+    for_each_valid(block_first_ppn(blk), units_per_block_, [&](std::uint32_t) { ++popcount; });
+    if (popcount != blocks_[blk].valid) {
+      return at("valid count differs from bitmap popcount: block ", blk);
+    }
+    valid_units += popcount;
+  }
+  if (valid_units != mapped) return at("valid units no lpn maps to: ", valid_units - mapped);
+
+  // GC index: walk every bucket list, checking links, then require that a
+  // block is listed exactly when it is a candidate, in its count's bucket.
+  std::vector<std::uint32_t> bucket_of(nblocks, kNone);
+  for (std::uint32_t v = 0; v < gc_head_.size(); ++v) {
+    if (gc_head_[v] != kNone && v < gc_min_bucket_) {
+      return at("candidate below the min-bucket hint: bucket ", v);
+    }
+    std::uint32_t prev = kGcHead;
+    for (std::uint32_t b = gc_head_[v]; b != kNone; prev = b, b = gc_next_[b]) {
+      if (b >= nblocks || bucket_of[b] != kNone) return at("GC index list corrupt: bucket ", v);
+      if (gc_prev_[b] != prev) return at("GC index back link wrong: block ", b);
+      bucket_of[b] = v;
     }
   }
+  for (std::uint32_t blk = 0; blk < nblocks; ++blk) {
+    const auto& b = blocks_[blk];
+    const bool candidate = b.state == Block::State::kSealed && !b.queued_dead && !b.moving;
+    if (candidate != (bucket_of[blk] != kNone)) {
+      return at("GC index membership wrong: block ", blk);
+    }
+    if (candidate && bucket_of[blk] != b.valid) {
+      return at("block in the wrong GC bucket: block ", blk);
+    }
+    if (!candidate && gc_prev_[blk] != kNone) {
+      return at("unlisted block marked indexed: block ", blk);
+    }
+  }
+
+  for (const std::uint32_t blk : dead_blocks_) {
+    if (!blocks_[blk].queued_dead || blocks_[blk].valid != 0) {
+      return at("dead-queued block holds valid units: block ", blk);
+    }
+  }
+  return {};
 }
 
 }  // namespace pas::ssd

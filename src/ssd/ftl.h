@@ -12,8 +12,10 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdlib>
 #include <deque>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -94,8 +96,16 @@ class Ftl {
   std::uint32_t victim_pick_indexed();
   std::uint32_t victim_scan_linear() const;
 
+  // Checks the mapping and GC bookkeeping against each other and returns the
+  // first violated invariant, or an empty string when all hold: map and
+  // reverse map agree on every valid unit (a bijection), every block's valid
+  // count equals its bitmap popcount, the GC index holds exactly the
+  // candidate blocks, each in its valid count's bucket, and every block on
+  // the dead queue is empty. O(logical + physical units); for tests.
+  std::string audit() const;
+
  private:
-  static constexpr std::uint32_t kUnmapped = 0xFFFFFFFFu;
+  static constexpr std::uint32_t kNone = 0xFFFFFFFFu;  // no block / slot / list entry
 
   struct Block {
     enum class State : std::uint8_t { kFree, kOpen, kSealed } state = State::kFree;
@@ -103,16 +113,23 @@ class Ftl {
     bool moving = false;       // a GC move of this block is in flight
     std::uint32_t valid = 0;
     std::uint32_t next_unit = 0;  // allocation cursor while open
-    std::vector<std::uint64_t> bitmap;
   };
 
   // A write stream (host or GC) keeps one open block per die and stripes
   // consecutive allocations round-robin across dies, so programs spread over
   // the whole array (this is what gives an SSD its write bandwidth).
   struct WriteStream {
-    std::vector<std::uint32_t> open_block;  // per die; kUnmapped when none
+    std::vector<std::uint32_t> open_block;  // per die; kNone when none
     int rr = 0;
   };
+
+  // Mapping tables come from calloc/malloc rather than std::vector, which
+  // would fill them; see ensure_tables().
+  struct FreeDeleter {
+    void operator()(void* p) const { std::free(p); }
+  };
+  template <typename T>
+  using Table = std::unique_ptr<T[], FreeDeleter>;
 
   // Builds the mapping tables on the first IO (write, read or precondition).
   // The constructor only does geometry arithmetic: a fleet bench constructs
@@ -125,21 +142,33 @@ class Ftl {
     return static_cast<int>(blk / blocks_per_die_);
   }
   std::uint32_t page_of(std::uint32_t ppn) const { return ppn / units_per_page_; }
+  std::uint32_t block_first_ppn(std::uint32_t blk) const { return blk * units_per_block_; }
 
-  void set_valid(std::uint32_t ppn, std::uint64_t lpn);
-  void clear_valid(std::uint32_t ppn);
-  bool test_valid(std::uint32_t blk, std::uint32_t unit) const;
+  // Points the next `units` lpns drawn from `next_lpn()` at the stripe
+  // starting at `ppn_start`, invalidating the units they replace. Bits and
+  // map entries change per unit; block valid counts (and GC-index buckets)
+  // change once per run of replaced units that share a block.
+  template <typename NextLpn>
+  void map_stripe(std::uint32_t ppn_start, std::uint32_t units, NextLpn next_lpn);
+  void drop_valid(std::uint32_t blk_idx, std::uint32_t units);
+  void set_block_valid(std::uint32_t blk_idx, std::uint32_t valid);
+
+  // Flat valid bitmap, one bit per ppn. Range helpers work a 64-bit word at
+  // a time; for_each_valid visits set bits of [first, first + n) ascending.
+  bool test_valid(std::uint32_t ppn) const { return (valid_bits_[ppn / 64] >> (ppn % 64)) & 1u; }
+  void set_valid_range(std::uint32_t first, std::uint32_t n);
+  template <typename Fn>
+  void for_each_valid(std::uint32_t first, std::uint32_t n, Fn fn) const;
 
   // Allocates a stripe on the next die in round-robin order; returns the
-  // first ppn, or kUnmapped when no block is available (caller must wait).
+  // first ppn, or kNone when no block is available (caller must wait).
   std::uint32_t allocate_stripe(WriteStream& stream, bool for_gc);
   bool open_block_on_die(int die, WriteStream& stream, bool for_gc);
 
   // Performs the allocation + mapping + program issue; returns false (with
   // no state mutated, `done` left intact) when free space is exhausted and
   // the write must stall.
-  bool try_write_runs(const Run* runs, std::size_t nruns, std::uint32_t units,
-                      sim::UniqueCallback& done);
+  bool try_write_runs(const Run* runs, std::uint32_t units, sim::UniqueCallback& done);
 
   // One coalesced physical page in a read batch; kept in pages_scratch_ in
   // insertion order so NAND ops issue in a portable, deterministic order.
@@ -197,8 +226,9 @@ class Ftl {
   int dies_ = 0;
 
   bool tables_ready_ = false;
-  std::vector<std::uint32_t> map_;   // lpn -> ppn
-  std::vector<std::uint32_t> rmap_;  // ppn -> lpn (valid only when bit set)
+  Table<std::uint32_t> map_;         // lpn -> ppn + 1; 0 = unmapped
+  Table<std::uint32_t> rmap_;        // ppn -> lpn; uninitialised, read only under a valid bit
+  Table<std::uint64_t> valid_bits_;  // ppn -> valid bit
   std::vector<Block> blocks_;        // global block index = die*blocks_per_die+i
   std::vector<std::deque<std::uint32_t>> free_lists_;  // per die, block indices
   std::size_t total_free_blocks_ = 0;
@@ -220,9 +250,9 @@ class Ftl {
   // monotone hint: no candidate lives below it; inserts lower it, picks
   // advance it past drained buckets.
   static constexpr std::uint32_t kGcHead = 0xFFFFFFFEu;  // prev-link front marker
-  std::vector<std::uint32_t> gc_head_;  // valid -> first candidate, or kUnmapped
-  std::vector<std::uint32_t> gc_next_;  // block -> next in bucket, or kUnmapped
-  std::vector<std::uint32_t> gc_prev_;  // block -> prev / kGcHead; kUnmapped = not indexed
+  std::vector<std::uint32_t> gc_head_;  // valid -> first candidate, or kNone
+  std::vector<std::uint32_t> gc_next_;  // block -> next in bucket, or kNone
+  std::vector<std::uint32_t> gc_prev_;  // block -> prev / kGcHead; kNone = not indexed
   std::uint32_t gc_min_bucket_ = 0;
 
   // Host writes waiting for free space (write cliff back-pressure). Drained
@@ -245,10 +275,10 @@ class Ftl {
   struct FanIn {
     std::size_t remaining = 0;
     sim::UniqueCallback done;
-    std::uint32_t next_free = kUnmapped;
+    std::uint32_t next_free = kNone;
   };
   std::deque<FanIn> fanins_;  // stable addresses; grows to peak fan-out
-  std::uint32_t fanin_free_ = kUnmapped;
+  std::uint32_t fanin_free_ = kNone;
 };
 
 }  // namespace pas::ssd

@@ -234,7 +234,7 @@ TEST(SegmentLazyMatrixDeathTest, RetimeWhileRunningAborts) {
 }
 
 // Sharded streaming-sum fleet: rigs materialize inside the shard workers
-// (run under TSan via the rig-tsan preset), and the fleet trace is
+// (run under TSan via the tsan preset), and the fleet trace is
 // byte-identical between 1 worker and K workers.
 TEST(SegmentLazyMatrix, ShardedStreamingSumWorkerCountInvariant) {
   auto run = [](int workers) {

@@ -69,10 +69,12 @@ TEST(SsdDatapath, GcVictimIndexMatchesLinearScan) {
     for (int s = 0; s < 3; ++s) h.sim.step();
     ASSERT_EQ(h.ftl.victim_pick_indexed(), h.ftl.victim_scan_linear())
         << "divergence at round " << round;
+    ASSERT_EQ(h.ftl.audit(), "") << "round " << round;
     ++checked;
   }
   h.sim.run_to_completion();
   EXPECT_EQ(h.ftl.victim_pick_indexed(), h.ftl.victim_scan_linear());
+  EXPECT_EQ(h.ftl.audit(), "");
   EXPECT_GT(checked, 0);
   EXPECT_TRUE(h.ftl.quiescent());
 }

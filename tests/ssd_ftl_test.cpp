@@ -28,7 +28,8 @@ SsdConfig small_config() {
 }
 
 // Test harness: completes NAND ops asynchronously after a fixed delay and
-// counts them by kind.
+// counts them by kind. Every scenario ends with the FTL audit, which the
+// destructor runs.
 struct FtlHarness {
   sim::Simulator sim;
   int reads = 0;
@@ -50,6 +51,14 @@ struct FtlHarness {
               sim.schedule_after(d, std::move(fn));
             },
             Rng(7)) {}
+
+  ~FtlHarness() { EXPECT_EQ(ftl.audit(), ""); }
+
+  // Writes one stripe of the given lpns and lets it (and any GC) finish.
+  void write(std::vector<std::uint64_t> lpns) {
+    ftl.write_units(std::move(lpns), [] {});
+    sim.run_to_completion();
+  }
 
   // Writes `stripes` stripes of consecutive lpns starting at `first`.
   void write_stripes(std::uint64_t first, int stripes) {
@@ -218,7 +227,8 @@ TEST(Ftl, PreconditionMapsEverything) {
 TEST(Ftl, PreconditionThenOverwriteTriggersGcButStaysLive) {
   FtlHarness h;
   h.ftl.precondition_sequential();
-  // Overwrite a quarter of the space randomly.
+  ASSERT_EQ(h.ftl.audit(), "");
+  // Overwrite a quarter of the space randomly; the audit holds throughout.
   Rng rng(5);
   const auto total = h.ftl.total_units();
   const std::uint32_t per = h.ftl.units_per_stripe();
@@ -228,11 +238,93 @@ TEST(Ftl, PreconditionThenOverwriteTriggersGcButStaysLive) {
     for (std::uint32_t u = 0; u < per; ++u) lpns.push_back(base + u);
     h.ftl.write_units(lpns, [] {});
     h.sim.run_to_completion();
+    ASSERT_EQ(h.ftl.audit(), "") << "stripe " << i;
   }
   EXPECT_TRUE(h.ftl.quiescent());
   EXPECT_GT(h.ftl.stats().gc_runs, 0u);
   EXPECT_GT(h.ftl.stats().gc_units_moved, 0u);
   EXPECT_GT(h.ftl.stats().write_amplification(), 1.0);
+}
+
+// Sealing a block whose older data has all been overwritten must not queue it
+// for erase: the sealing stripe is mapped into it right after the seal, and
+// the erase would then abort on the block's live units.
+// Host stripes go round-robin over the 4 dies, 16 stripes per block, so the
+// 61st stripe seals die 0's first block, whose copies of lpns 0-7 are stale.
+TEST(Ftl, SealingAnEmptiedBlockDoesNotEraseItsNewData) {
+  FtlHarness h;
+  for (int i = 0; i < 60; ++i) h.write_stripes(0, 1);
+  h.write_stripes(100, 1);
+  for (int i = 0; i < 600; ++i) {
+    h.write_stripes(0, 1);
+    ASSERT_EQ(h.ftl.audit(), "") << "rewrite " << i;
+  }
+  EXPECT_GT(h.ftl.stats().erases, 0u);
+  for (std::uint64_t l = 100; l < 108; ++l) EXPECT_TRUE(h.ftl.is_mapped(l));
+}
+
+// The write buffer's RunFifo keeps duplicate lpns from overlapping writes, so
+// one stripe can carry an lpn more than once; its last copy is the live one.
+TEST(Ftl, StripeCarryingAnLpnTwiceKeepsOnlyTheLastCopy) {
+  FtlHarness h;
+  h.write_stripes(0, 1);
+  h.write({3, 4, 3, 5, 3});
+  ASSERT_EQ(h.ftl.audit(), "");
+  // The run-based entry point: runs [0, 4) and [2, 6) overlap on lpns 2-3.
+  const ssd::Run runs[] = {{0, 4}, {2, 4}};
+  h.ftl.write_runs(runs, 2, 8, [] {});
+  h.sim.run_to_completion();
+  ASSERT_EQ(h.ftl.audit(), "");
+  // Keep writing stripes full of repeats over a preconditioned drive until
+  // GC has moved data, so repeats meet sealing, erases and moves.
+  h.ftl.precondition_sequential();
+  Rng rng(3);
+  const std::uint32_t per = h.ftl.units_per_stripe();
+  for (int i = 0; i < 2000 && h.ftl.stats().gc_units_moved == 0; ++i) {
+    const std::uint64_t base = rng.next_below(h.ftl.total_units() - 4);
+    std::vector<std::uint64_t> lpns;
+    for (std::uint32_t u = 0; u < per; ++u) lpns.push_back(base + rng.next_below(4));
+    h.write(lpns);
+    ASSERT_EQ(h.ftl.audit(), "") << "stripe " << i;
+  }
+  EXPECT_GT(h.ftl.stats().gc_units_moved, 0u);
+}
+
+// An overwrite whose old unit is the last valid unit of the block its own
+// stripe seals: the block's count must not pass through zero (which would
+// queue it for erase while it receives the stripe).
+TEST(Ftl, OverwriteIntoTheBlockItsStripeSeals) {
+  FtlHarness h;
+  for (int i = 0; i < 56; ++i) h.write_stripes(0, 1);  // 14 stale stripes per die
+  h.write_stripes(1000, 1);  // die 0's 15th stripe: lpns 1000-1007
+  h.write({1001, 1002, 1003, 1004, 1005, 1006, 1007, 2000});  // leaves 1000 alone there
+  h.write_stripes(2001, 2);
+  h.write({1000, 3000, 3001, 3002, 3003, 3004, 3005, 3006});  // die 0's 16th stripe
+  ASSERT_EQ(h.ftl.audit(), "");
+  for (int i = 0; i < 600; ++i) {
+    h.write_stripes(0, 1);
+    ASSERT_EQ(h.ftl.audit(), "") << "rewrite " << i;
+  }
+  EXPECT_GT(h.ftl.stats().erases, 0u);
+  EXPECT_TRUE(h.ftl.is_mapped(1000));
+  for (std::uint64_t l = 3000; l < 3007; ++l) EXPECT_TRUE(h.ftl.is_mapped(l));
+}
+
+// Tables first built by a read read back as fully unmapped, and stay
+// consistent once writes land.
+TEST(Ftl, UnmappedReadsOnTablesFirstBuiltByARead) {
+  FtlHarness h;
+  h.ftl.read_units({0, 1, 4095}, [] {});  // builds the tables
+  h.sim.run_to_completion();
+  EXPECT_EQ(h.reads, 2);  // two pseudo pages
+  for (std::uint64_t l = 0; l < h.ftl.total_units(); ++l) ASSERT_FALSE(h.ftl.is_mapped(l));
+  EXPECT_EQ(h.ftl.victim_pick_indexed(), Ftl::kNoVictim);
+  ASSERT_EQ(h.ftl.audit(), "");
+  h.write_stripes(0, 1);
+  h.reads = 0;
+  h.ftl.read_units({0, 1, 2, 3, 4, 5, 6, 7, 8}, [] {});
+  h.sim.run_to_completion();
+  EXPECT_EQ(h.reads, 3);  // the stripe's two pages and lpn 8's pseudo page
 }
 
 TEST(Ftl, StatsWriteAmplificationIdentity) {
