@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
-# Closed-loop parity check: runs a reproduction bench with --csv-dir into a
-# temp directory and byte-compares every file the checked-in baseline has.
-# The baselines under tests/baselines/ were captured before the layered
-# workload engine landed, so a pass proves the closed-loop paths still
-# produce bit-identical tables (the refactor's core contract). New files the
-# bench emits (e.g. the SLO epilogue tables) are ignored: the contract
-# covers the historical outputs, not additions.
+# Parity check: runs a reproduction bench with --csv-dir into a temp
+# directory and byte-compares every file the checked-in baseline has. Each
+# baseline directory was captured immediately before a rewrite of the paths
+# behind it (bench/CMakeLists.txt says which), so a pass proves those paths
+# still produce bit-identical tables. The fleet baselines include the
+# open-loop SLO epilogue tables (fleet_scenario_slo*.csv/json). A file the
+# bench emits but the baseline directory lacks is not compared: pinning a
+# new output means adding its baseline file.
 #
 # Usage: check_parity.sh <baseline-dir> <bench-binary> [bench args...]
 set -euo pipefail

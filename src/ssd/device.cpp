@@ -17,7 +17,8 @@ SsdDevice::SsdDevice(sim::Simulator& sim, SsdConfig config, std::uint64_t seed)
       meter_(sim.now(), 0.0),
       cores_(config_.cmd_cores),
       link_(),
-      flat_(config_.flat_datapath) {
+      flat_(config_.flat_datapath),
+      buffered_(config_.capacity_bytes / config_.sector_bytes) {
   PAS_CHECK(config_.capacity_bytes % config_.sector_bytes == 0);
   ftl_ = std::make_unique<Ftl>(
       config_, [this](nand::NandOp op) { issue_nand(std::move(op)); },
@@ -569,17 +570,29 @@ Joules SsdDevice::nand_op_energy(const nand::NandOp& op) const {
 
 void SsdDevice::issue_nand(nand::NandOp op) {
   const Joules cost = nand_op_energy(op);
-  // Fast path: an uncapped or credit-rich governor admits synchronously, so
-  // the op is never wrapped in a closure (a NandOp exceeds the inline
-  // callback buffer — queuing it is the one remaining heap fallback, and it
-  // only happens while actually throttled).
+  // Fast path: an uncapped or credit-rich governor admits synchronously.
   if (governor_.try_admit(cost, op.priority)) {
     nand_.submit(std::move(op));
     return;
   }
+  // Throttled: the op waits in a pooled slot (see ParkedOp).
+  ParkedOp* slot;
+  if (parked_free_ != nullptr) {
+    slot = parked_free_;
+    parked_free_ = slot->next_free;
+  } else {
+    slot = &parked_ops_.emplace_back();
+  }
   const bool priority = op.priority;
-  governor_.enqueue(cost, [this, op = std::move(op)]() mutable { nand_.submit(std::move(op)); },
-                    priority);
+  slot->op = std::move(op);
+  governor_.enqueue(cost, [this, slot] { submit_parked(slot); }, priority);
+}
+
+void SsdDevice::submit_parked(ParkedOp* slot) {
+  nand::NandOp op = std::move(slot->op);
+  slot->next_free = parked_free_;
+  parked_free_ = slot;
+  nand_.submit(std::move(op));
 }
 
 void SsdDevice::wake_then(sim::UniqueCallback work) {

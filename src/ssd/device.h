@@ -127,6 +127,13 @@ class SsdDevice : public sim::BlockDevice, public sim::PowerManageable {
     std::uint64_t bytes = 0;
     DestageCtx* next_free = nullptr;
   };
+  // A NAND op the governor is holding back. The op (96 bytes) waits here so
+  // the queued continuation captures {this, slot} and fits the callback's
+  // inline buffer; a closure holding the op itself would allocate.
+  struct ParkedOp {
+    nand::NandOp op;
+    ParkedOp* next_free = nullptr;
+  };
 
   IoContext* alloc_io_ctx(const sim::IoRequest& req, TimeNs submit_time,
                           sim::IoCallback done);
@@ -155,6 +162,7 @@ class SsdDevice : public sim::BlockDevice, public sim::PowerManageable {
   }
 
   void issue_nand(nand::NandOp op);
+  void submit_parked(ParkedOp* slot);
   Joules nand_op_energy(const nand::NandOp& op) const;
   void schedule_bg_activity();
 
@@ -195,12 +203,14 @@ class SsdDevice : public sim::BlockDevice, public sim::PowerManageable {
   std::size_t io_ctx_free_count_ = 0;
   std::deque<DestageCtx> destage_ctx_;
   DestageCtx* destage_ctx_free_ = nullptr;
+  std::deque<ParkedOp> parked_ops_;
+  ParkedOp* parked_free_ = nullptr;
 
   // Write buffer.
   std::uint64_t buffer_used_ = 0;
   sim::RingQueue<std::pair<std::uint64_t, sim::UniqueCallback>> buffer_waiters_;
   RunFifo destage_runs_;     // flat path: buffered units as coalesced runs
-  BufferedRanges buffered_;  // flat path: interval view of buffered units
+  BufferedUnits buffered_;   // flat path: buffered copies per unit
   std::deque<std::uint64_t> destage_fifo_;  // legacy: buffered lpns in arrival order
   std::unordered_map<std::uint64_t, int> buffered_counts_;  // legacy
   int inflight_programs_ = 0;

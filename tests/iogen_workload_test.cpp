@@ -131,6 +131,81 @@ TEST(ReplayTrace, CsvRoundTripIsExact) {
   std::remove(path.c_str());
 }
 
+// Writes `contents` to a file under the test temp dir and returns its path.
+std::string write_trace(const std::string& name, const std::string& contents) {
+  const std::string path = ::testing::TempDir() + "/" + name;
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  EXPECT_NE(f, nullptr);
+  std::fputs(contents.c_str(), f);
+  std::fclose(f);
+  return path;
+}
+
+constexpr const char* kHeader = "timestamp,op,lba,len\n";
+
+TEST(ReplayTraceDeathTest, NegativeLbaIsNamed) {
+  const std::string path = write_trace("pas_neg_lba.csv", std::string(kHeader) + "0,R,-1,4096\n");
+  EXPECT_DEATH(ReplayTrace::load_csv(path), "lba is not an unsigned integer at .*pas_neg_lba.csv:2");
+}
+
+TEST(ReplayTraceDeathTest, LbaWhoseByteOffsetOverflowsIsNamed) {
+  // 2^55 sectors of 512 bytes is 2^64 bytes: the offset would wrap to 0.
+  const std::string path =
+      write_trace("pas_big_lba.csv", std::string(kHeader) + "0,W,36028797018963968,4096\n");
+  EXPECT_DEATH(ReplayTrace::load_csv(path), "lba out of range at .*pas_big_lba.csv:2");
+}
+
+TEST(ReplayTraceDeathTest, NegativeTimestampIsNamed) {
+  const std::string first = write_trace("pas_neg_ts1.csv", std::string(kHeader) + "-5,R,0,4096\n");
+  EXPECT_DEATH(ReplayTrace::load_csv(first),
+               "timestamp is not an unsigned integer at .*pas_neg_ts1.csv:2");
+  const std::string later =
+      write_trace("pas_neg_ts2.csv", std::string(kHeader) + "0,R,0,4096\n-5,R,0,4096\n");
+  EXPECT_DEATH(ReplayTrace::load_csv(later),
+               "timestamp is not an unsigned integer at .*pas_neg_ts2.csv:3");
+}
+
+TEST(ReplayTraceDeathTest, TimestampBeyondTheClockIsNamed) {
+  // 2^63 ns does not fit the signed nanosecond clock.
+  const std::string path =
+      write_trace("pas_big_ts.csv", std::string(kHeader) + "9223372036854775808,R,0,4096\n");
+  EXPECT_DEATH(ReplayTrace::load_csv(path), "timestamp out of range at .*pas_big_ts.csv:2");
+}
+
+TEST(ReplayTraceDeathTest, DecreasingTimestampNamesItsLine) {
+  const std::string path = write_trace(
+      "pas_order.csv", std::string(kHeader) + "1000,R,0,4096\n# comment\n500,W,8,4096\n");
+  EXPECT_DEATH(ReplayTrace::load_csv(path),
+               "trace timestamps must be non-decreasing at .*pas_order.csv:4");
+}
+
+TEST(ReplayTraceDeathTest, TrailingFieldIsNamed) {
+  const std::string path =
+      write_trace("pas_trailing.csv", std::string(kHeader) + "0,R,0,4096,17\n");
+  EXPECT_DEATH(ReplayTrace::load_csv(path), "trailing field after len at .*pas_trailing.csv:2");
+}
+
+TEST(ReplayTraceDeathTest, LongLinesAreReadWhole) {
+  // A comment longer than any read buffer, whose tail looks like a record,
+  // stays one comment; a padded record stays one record; and an error in a
+  // long line is reported at that line, not at a line made of its tail.
+  const std::string comment = "#" + std::string(4094, 'x') + "7,W,0,4096\n";
+  const std::string padded = "10,R," + std::string(6000, ' ') + "8,4096\n";
+  const std::string path =
+      write_trace("pas_long.csv", std::string(kHeader) + "0,R,0,4096\n" + comment + padded);
+  const ReplayTrace trace = ReplayTrace::load_csv(path);
+  ASSERT_EQ(trace.size(), 2u);
+  EXPECT_EQ(trace.records()[0].op, sim::IoOp::kRead);
+  EXPECT_EQ(trace.records()[1].op, sim::IoOp::kRead);
+  EXPECT_EQ(trace.records()[1].at, 10);
+  EXPECT_EQ(trace.records()[1].offset, 8 * kTraceSectorBytes);
+
+  const std::string bad = write_trace(
+      "pas_long_bad.csv", std::string(kHeader) + "0,R,0,4096\n20,R,0," + std::string(5000, '9') +
+                              "x\n30,R,0,4096\n");
+  EXPECT_DEATH(ReplayTrace::load_csv(bad), "len is not an unsigned integer at .*pas_long_bad.csv:3");
+}
+
 TEST(ReplayEngine, ReplaysEveryRecord) {
   sim::Simulator sim;
   RecordingDevice dev(sim);
