@@ -25,6 +25,7 @@
 // if any phase's measured 10 s-window fleet power exceeds its budget or a
 // budget cannot be planned.
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -373,14 +374,10 @@ int run_paper(const core::BenchCli& cli, ResultSink& sink, std::size_t devices,
   }
   sink.banner("SLO epilogue: per-tenant violation rate vs power budget");
   sink.table("slo", slo);
-  // Kernel-load accounting for the rig-sweep A/B (stdout only — not part of
-  // the parity CSVs): how many events the fleet's simulators fired in total.
-  // Gated so scripts/bench_ab.sh can compile this file unmodified in a
-  // baseline worktree that predates FleetHost::executed_events().
-#ifdef PAS_RIG_SEGMENT_LAZY
+  // Kernel-load accounting (stdout only — not part of the parity CSVs): how
+  // many events the fleet's simulators fired in total.
   std::printf("events executed: %llu\n",
               static_cast<unsigned long long>(host.executed_events()));
-#endif
   return violation ? 1 : 0;
 }
 
@@ -416,8 +413,7 @@ int run_standby(const core::BenchCli& cli, ResultSink& sink, std::size_t devices
   host.stop_rigs();
   const power::PowerTrace trace = host.take_fleet_trace();
   const power::TraceSummary s = trace.analyze(seconds(10));
-  // Full 17-digit precision: the rig-sweep A/B byte-compares this CSV
-  // between the segment-lazy and per-tick samplers.
+  // Full 17-digit precision, so the parity pin sees any change in a sample.
   Table report({"devices", "parked", "samples", "mean W", "max 10s-win W"});
   report.add_row({Table::fmt_int(static_cast<long long>(devices)),
                   Table::fmt_int(static_cast<long long>(parked)),
@@ -425,10 +421,8 @@ int run_standby(const core::BenchCli& cli, ResultSink& sink, std::size_t devices
                   Table::fmt(s.mean_w, 17), Table::fmt(s.max_window_w, 17)});
   sink.banner("Standby rack: 1 kHz monitoring of a parked fleet");
   sink.table("standby", report);
-#ifdef PAS_RIG_SEGMENT_LAZY
   std::printf("events executed: %llu\n",
               static_cast<unsigned long long>(host.executed_events()));
-#endif
   return 0;
 }
 
@@ -623,10 +617,8 @@ int run_diurnal(const core::BenchCli& cli, ResultSink& sink, std::size_t devices
   }
   sink.banner("Diurnal SLO epilogue: per-tenant violation rate vs rack budget");
   sink.table("slo_diurnal", slo);
-#ifdef PAS_RIG_SEGMENT_LAZY
   std::printf("events executed: %llu\n",
               static_cast<unsigned long long>(host.executed_events()));
-#endif
   return violation ? 1 : 0;
 }
 
@@ -635,14 +627,16 @@ int run_diurnal(const core::BenchCli& cli, ResultSink& sink, std::size_t devices
 
 int main(int argc, char** argv) {
   using namespace pas;
-  long devices = -1;  // default depends on the profile: paper 3, diurnal 1000
-  long shards = 1;
+  std::size_t devices = 0;  // 0: the profile's default
+  std::size_t shards = 1;
   std::string profile = "paper";
   const core::BenchFlag extra[] = {
-      {"--devices", "N", "fleet size (default: 3 paper, 1000 diurnal)",
-       [&](const char* v) { devices = std::atol(v); }},
+      {"--devices", "N", "fleet size (default: 3 paper, 256 standby, 1000 diurnal)",
+       [&](const char* v) {
+         devices = core::parse_uint_flag(argv[0], "--devices", v, 1, INT_MAX);
+       }},
       {"--shards", "K", "shard count (default 1)",
-       [&](const char* v) { shards = std::atol(v); }},
+       [&](const char* v) { shards = core::parse_uint_flag(argv[0], "--shards", v, 1, INT_MAX); }},
       {"--profile", "P", "paper | diurnal | standby (default paper)",
        [&](const char* v) { profile = v; }},
   };
@@ -652,21 +646,10 @@ int main(int argc, char** argv) {
                  argv[0]);
     return 2;
   }
-  if (devices < 0) devices = profile == "paper" ? 3 : profile == "standby" ? 256 : 1000;
-  if (devices < 1 || shards < 1) {
-    std::fprintf(stderr, "%s: --devices and --shards must be >= 1\n", argv[0]);
-    return 2;
-  }
+  if (devices == 0) devices = profile == "paper" ? 3 : profile == "standby" ? 256 : 1000;
 
   ResultSink sink("fleet_scenario", cli.csv_dir);
-  if (profile == "paper") {
-    return run_paper(cli, sink, static_cast<std::size_t>(devices),
-                     static_cast<std::size_t>(shards));
-  }
-  if (profile == "standby") {
-    return run_standby(cli, sink, static_cast<std::size_t>(devices),
-                       static_cast<std::size_t>(shards));
-  }
-  return run_diurnal(cli, sink, static_cast<std::size_t>(devices),
-                     static_cast<std::size_t>(shards));
+  if (profile == "paper") return run_paper(cli, sink, devices, shards);
+  if (profile == "standby") return run_standby(cli, sink, devices, shards);
+  return run_diurnal(cli, sink, devices, shards);
 }

@@ -1,14 +1,6 @@
 // Micro-benchmarks (google-benchmark) of measurement-rig sampling: a fleet
 // of 1 / 10 / 100 rigs over power-toggling devices, advanced one simulated
 // second at 1 kHz and the rack's decimated 100 Hz.
-//
-// This file intentionally compiles in BOTH the per-tick-only tree and the
-// segment-lazy tree: scripts/bench_ab.sh rig-sweep builds it unmodified in a
-// baseline worktree for interleaved A/B runs. BM_RigPerTick is the
-// pre-change sampler in the baseline build and config.event_driven in the
-// current one (same code path either way); BM_RigSegmentLazy needs the lazy
-// rig and is gated on PAS_RIG_SEGMENT_LAZY, which only the lazy rig.h
-// defines.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -25,8 +17,7 @@
 namespace pas {
 namespace {
 
-// Minimal instrumentable device: controllable power, no IO path. Local to
-// the bench so the baseline worktree build needs nothing from tests/.
+// Minimal instrumentable device: controllable power, no IO path.
 class BenchDevice : public sim::BlockDevice {
  public:
   explicit BenchDevice(sim::Simulator& sim) : sim_(sim), meter_(sim.now(), 2.5) {}
@@ -39,10 +30,8 @@ class BenchDevice : public sim::BlockDevice {
   void submit(const sim::IoRequest&, sim::IoCallback) override {}
   Watts instantaneous_power() const override { return meter_.power(); }
   Joules consumed_energy() const override { return meter_.energy_at(sim_.now()); }
-#ifdef PAS_RIG_SEGMENT_LAZY
   sim::PowerSegment power_segment() const override { return meter_.segment(); }
   void set_power_observer(sim::PowerObserver* o) override { meter_.set_observer(o); }
-#endif
 
  private:
   sim::Simulator& sim_;
@@ -53,7 +42,7 @@ class BenchDevice : public sim::BlockDevice {
 // One simulated second: `rigs` rigs sampling at `period`, every device
 // stepping its power on an off-grid 5 ms-ish cadence (the interesting
 // regime: power changes are ~5-50x sparser than 1 kHz ADC ticks).
-void run_fleet(benchmark::State& state, bool per_tick) {
+void BM_RigSegmentLazy(benchmark::State& state) {
   const std::size_t rigs = static_cast<std::size_t>(state.range(0));
   const TimeNs period = microseconds(state.range(1));
   const TimeNs horizon = seconds(1);
@@ -63,11 +52,6 @@ void run_fleet(benchmark::State& state, bool per_tick) {
     std::vector<std::unique_ptr<power::MeasurementRig>> fleet;
     power::RigConfig rc;
     rc.sample_period = period;
-#ifdef PAS_RIG_SEGMENT_LAZY
-    rc.event_driven = per_tick;
-#else
-    (void)per_tick;  // the pre-change rig is per-tick, full stop
-#endif
     for (std::size_t d = 0; d < rigs; ++d) {
       devs.push_back(std::make_unique<BenchDevice>(sim));
       fleet.push_back(
@@ -86,18 +70,6 @@ void run_fleet(benchmark::State& state, bool per_tick) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(rigs) *
                           (horizon / period));
 }
-
-void BM_RigPerTick(benchmark::State& state) { run_fleet(state, true); }
-BENCHMARK(BM_RigPerTick)
-    ->Args({1, 1000})
-    ->Args({10, 1000})
-    ->Args({100, 1000})
-    ->Args({1, 10000})
-    ->Args({10, 10000})
-    ->Args({100, 10000});
-
-#ifdef PAS_RIG_SEGMENT_LAZY
-void BM_RigSegmentLazy(benchmark::State& state) { run_fleet(state, false); }
 BENCHMARK(BM_RigSegmentLazy)
     ->Args({1, 1000})
     ->Args({10, 1000})
@@ -105,7 +77,6 @@ BENCHMARK(BM_RigSegmentLazy)
     ->Args({1, 10000})
     ->Args({10, 10000})
     ->Args({100, 10000});
-#endif
 
 }  // namespace
 }  // namespace pas

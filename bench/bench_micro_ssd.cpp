@@ -1,15 +1,7 @@
 // Micro-benchmarks (google-benchmark) of the SSD IO datapath: closed-loop
 // write / read / mixed traffic at queue depths 1 / 8 / 32 and chunk sizes
-// 4 KiB / 256 KiB, plus a heap-allocation-per-IO counter (the flat datapath's
+// 4 KiB / 256 KiB, plus a heap-allocation-per-IO counter (the datapath's
 // contract is zero steady-state allocations on the write path).
-//
-// This file intentionally compiles in BOTH the legacy-only tree and the
-// flat-datapath tree: scripts/bench_ab.sh ssd-sweep builds it unmodified in a
-// baseline worktree for interleaved A/B runs. The *Legacy cases are the
-// pre-change chain in the baseline build and config.flat_datapath=false in
-// the current one (same code path either way); the *Flat cases need the flat
-// device and are gated on PAS_SSD_FLAT_PATH, which only the flat ssd/device.h
-// defines.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -103,13 +95,8 @@ struct Loop {
 
 class Harness {
  public:
-  explicit Harness(bool flat) {
-    auto cfg = bench_config();
-#ifdef PAS_SSD_FLAT_PATH
-    cfg.flat_datapath = flat;
-#else
-    (void)flat;  // the pre-change device has only the closure chain
-#endif
+  Harness() {
+    const auto cfg = bench_config();
     capacity_ = cfg.capacity_bytes;
     dev_ = std::make_unique<ssd::SsdDevice>(sim_, cfg, 7);
     dev_->precondition();  // reads hit media; writes overwrite mapped data
@@ -140,11 +127,11 @@ class Harness {
   std::uint64_t op_idx_ = 0;
 };
 
-void run_case(benchmark::State& state, Mode mode, bool flat) {
+void run_case(benchmark::State& state, Mode mode) {
   const int qd = static_cast<int>(state.range(0));
   const std::uint32_t chunk = static_cast<std::uint32_t>(state.range(1)) * KiB;
   const int batch = chunk <= 4 * KiB ? 4096 : 512;
-  Harness harness(flat);
+  Harness harness;
   harness.run(qd, chunk, mode, batch);  // warm pools, buffers, FTL tables
   const std::uint64_t a0 = g_alloc_count.load(std::memory_order_relaxed);
   std::int64_t total_ops = 0;
@@ -162,21 +149,13 @@ void run_case(benchmark::State& state, Mode mode, bool flat) {
   ->Args({1, 4})->Args({8, 4})->Args({32, 4})->Args({1, 256})->Args({8, 256}) \
   ->Args({32, 256})
 
-void BM_SsdWriteLegacy(benchmark::State& state) { run_case(state, Mode::kWrite, false); }
-BENCHMARK(BM_SsdWriteLegacy) PAS_SSD_BENCH_ARGS;
-void BM_SsdReadLegacy(benchmark::State& state) { run_case(state, Mode::kRead, false); }
-BENCHMARK(BM_SsdReadLegacy) PAS_SSD_BENCH_ARGS;
-void BM_SsdMixedLegacy(benchmark::State& state) { run_case(state, Mode::kMixed, false); }
-BENCHMARK(BM_SsdMixedLegacy) PAS_SSD_BENCH_ARGS;
-
-#ifdef PAS_SSD_FLAT_PATH
-void BM_SsdWriteFlat(benchmark::State& state) { run_case(state, Mode::kWrite, true); }
+// Case names keep the Flat suffix they were recorded under in BENCH_ssd.json.
+void BM_SsdWriteFlat(benchmark::State& state) { run_case(state, Mode::kWrite); }
 BENCHMARK(BM_SsdWriteFlat) PAS_SSD_BENCH_ARGS;
-void BM_SsdReadFlat(benchmark::State& state) { run_case(state, Mode::kRead, true); }
+void BM_SsdReadFlat(benchmark::State& state) { run_case(state, Mode::kRead); }
 BENCHMARK(BM_SsdReadFlat) PAS_SSD_BENCH_ARGS;
-void BM_SsdMixedFlat(benchmark::State& state) { run_case(state, Mode::kMixed, true); }
+void BM_SsdMixedFlat(benchmark::State& state) { run_case(state, Mode::kMixed); }
 BENCHMARK(BM_SsdMixedFlat) PAS_SSD_BENCH_ARGS;
-#endif
 
 }  // namespace
 }  // namespace pas

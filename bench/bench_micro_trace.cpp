@@ -2,12 +2,6 @@
 // paths: per-cell analytics (the four reductions core/campaign.cpp needs),
 // slice-then-mean (the Figure 7 reporting pattern), fleet-trace summation
 // (core/testbed.cpp), and raw sample append (the rig's 1 kHz store path).
-//
-// This file intentionally compiles against BOTH the pre-SoA AoS trace and
-// the current SoA trace: scripts/bench_ab.sh builds it unmodified in a
-// baseline worktree for interleaved A/B runs. Cases that need the new API
-// (fused analyze, zero-copy views, device-major accumulate) are gated on
-// PAS_POWER_TRACE_SOA, which only the SoA trace.h defines.
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
@@ -49,7 +43,6 @@ void BM_TraceFourPasses(benchmark::State& state) {
 }
 BENCHMARK(BM_TraceFourPasses);
 
-#ifdef PAS_POWER_TRACE_SOA
 // The same four quantities from one fused pass over the SoA value array.
 void BM_TraceFusedSummary(benchmark::State& state) {
   const power::PowerTrace trace = make_trace(kTraceSamples, 1);
@@ -61,7 +54,6 @@ void BM_TraceFusedSummary(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kTraceSamples));
 }
 BENCHMARK(BM_TraceFusedSummary);
-#endif
 
 // bench_fig7_standby's reporting shape: four slices of one trace, mean of
 // each. Pre-SoA this materialized four sub-trace copies; now each slice is
@@ -108,7 +100,6 @@ void BM_FleetSumSampleMajor(benchmark::State& state) {
 }
 BENCHMARK(BM_FleetSumSampleMajor);
 
-#ifdef PAS_POWER_TRACE_SOA
 // Fleet summation, device-major: the current Testbed::fleet_trace() shape —
 // alignment validated once per device, then one contiguous add-loop each.
 void BM_FleetSumDeviceMajor(benchmark::State& state) {
@@ -127,7 +118,6 @@ void BM_FleetSumDeviceMajor(benchmark::State& state) {
                           static_cast<std::int64_t>(kFleetSamples * kFleetDevices));
 }
 BENCHMARK(BM_FleetSumDeviceMajor);
-#endif
 
 // Raw append throughput of the rig's store path (no reserve: includes
 // reallocation, which the SoA layout halves).

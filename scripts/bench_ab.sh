@@ -1,26 +1,9 @@
 #!/usr/bin/env bash
-# Interleaved A/B benchmark protocol — the procedure behind BENCH_simcore.json
-# and BENCH_trace.json:
+# Fleet measurement sweeps over the working tree's bench_fleet_scenario.
+# Each mode builds the bench into build-ab/ (RelWithDebInfo) and writes one
+# BENCH_*.json at the repo root.
 #
-#   1. Build the current tree (NEW) at RelWithDebInfo.
-#   2. Build a git worktree at the baseline ref (OLD) with the micro-bench
-#      source copied in unmodified, so both sides run the exact same cases.
-#      Cases that need an API the baseline lacks must be #ifdef-gated on a
-#      feature macro only the new headers define (e.g. PAS_POWER_TRACE_SOA);
-#      those cases simply don't exist in the OLD binary.
-#   3. Alternate OLD/NEW rounds (default 3 each) and keep the min per case.
-#      On a small shared VM single runs swing with background load; the min
-#      of interleaved rounds is stable to a few percent.
-#   4. Optionally wall-time an end-to-end reproduction binary the same way
-#      (set AB_E2E, e.g. AB_E2E="bench_fig7_standby --seed 42 --jobs 1").
-#
-# Usage: scripts/bench_ab.sh <baseline-ref> [bench-name] [rounds]
-#   AB_LIBS  link libs used to register the bench in the baseline tree if it
-#            predates the bench (default: "pas_power benchmark::benchmark")
-#   AB_E2E   end-to-end binary + args to wall-time in both trees (optional)
-#   AB_OUT   result JSON path (default: /tmp/bench_ab_result.json)
-#
-# Shard-sweep mode (no baseline; emits BENCH_fleet.json):
+# Shard-sweep mode (emits BENCH_fleet.json):
 #   scripts/bench_ab.sh fleet-sweep
 #     Wall-times `bench_fleet_scenario --profile diurnal` for the current
 #     tree over a devices x shards grid (default 64/256/1000 devices at
@@ -30,7 +13,7 @@
 #   AB_FLEET_SHARDS   shard counts        (default "1 4")
 #   AB_FLEET_ARGS     extra bench args    (default "--quick --seed 1")
 #
-# SLO-sweep mode (no baseline; emits BENCH_workload.json):
+# SLO-sweep mode (emits BENCH_workload.json):
 #   scripts/bench_ab.sh slo-sweep
 #     Runs `bench_fleet_scenario` for both profiles (paper budget steps and
 #     the diurnal rack) with the open-loop tenant epilogues, re-runs the
@@ -39,285 +22,9 @@
 #     rows (violation rate vs power budget) to AB_OUT
 #     (default: BENCH_workload.json in the repo root).
 #   AB_SLO_ARGS  extra bench args (default "--quick --seed 1")
-#
-# Rig-sweep mode (emits BENCH_rig.json):
-#   scripts/bench_ab.sh rig-sweep <baseline-ref> [rounds]
-#     The segment-lazy rig A/B, three measurements in one file:
-#       1. bench_micro_rig OLD vs NEW (the generic worktree protocol above:
-#          per-tick in the baseline tree vs per-tick AND segment-lazy in the
-#          current tree, interleaved, min of rounds);
-#       2. the 256-device standby-rack scenario OLD vs NEW (wall time; the
-#          scenario source is copied into the baseline worktree so both
-#          sides run identical code — per-tick is its only sampler there);
-#       3. the same scenario from the NEW binary alone, segment-lazy vs
-#          PAS_RIG_EVENT_DRIVEN=1 — same binary, so the "events executed"
-#          delta is exactly the ADC ticks the kernel no longer fires, and
-#          the two runs' CSVs are byte-compared to prove the samples are
-#          identical.
-#   AB_RIG_E2E  override the e2e scenario args
-#               (default "--profile standby --devices 256 --shards 1
-#                --quick --seed 1")
-#
-# SSD-sweep mode (emits BENCH_ssd.json):
-#   scripts/bench_ab.sh ssd-sweep <baseline-ref> [rounds]
-#     The flat-datapath A/B, three measurements in one file:
-#       1. bench_micro_ssd OLD vs NEW (worktree protocol: the micro source is
-#          copied into the baseline tree, where the Flat cases compile out
-#          because the old ssd/device.h does not define PAS_SSD_FLAT_PATH —
-#          old Legacy cases vs new Legacy AND Flat cases, interleaved, min of
-#          rounds; every case carries an allocs_per_io counter). The new
-#          binary's Legacy and Flat groups run as separate process
-#          invocations: ~10k heap blocks live at the end of a Legacy case,
-#          and cases run later in a process measurably degrade from the
-#          accumulated heap/TLB state, which biased the flat-vs-seed pairing
-#          by ~15% when all 36 cases shared one process;
-#       2. fig4, fig9, and the 256-device diurnal fleet OLD vs NEW (wall time);
-#       3. fig4 from the NEW binary alone, flat datapath vs PAS_SSD_FLAT_PATH=0
-#          (same binary, runtime switch) with the CSV tables byte-compared to
-#          prove the two datapaths produce identical results.
-#   AB_SSD_FIG4   fig4 args  (default "--quick --jobs 1 --seed 1")
-#   AB_SSD_FIG9   fig9 args  (default "--quick --jobs 1 --seed 1")
-#   AB_SSD_FLEET  fleet args (default "--profile diurnal --devices 256
-#                 --shards 1 --quick --seed 1")
 set -euo pipefail
 
 REPO="$(cd "$(dirname "$0")/.." && pwd)"
-
-if [ "${1:-}" = "rig-sweep" ]; then
-  BASE_REF="${2:?usage: scripts/bench_ab.sh rig-sweep <baseline-ref> [rounds]}"
-  ROUNDS="${3:-3}"
-  E2E_ARGS="${AB_RIG_E2E:---profile standby --devices 256 --shards 1 --quick --seed 1}"
-  OUT="${AB_OUT:-$REPO/BENCH_rig.json}"
-  WORK="$(mktemp -d /tmp/pas-rig.XXXXXX)"
-  trap 'rm -rf "$WORK"' EXIT
-
-  # 1+2: the generic interleaved worktree A/B, micro + e2e. The scenario
-  # source rides along so the baseline gets the standby profile (it compiles
-  # against both trees; new-API lines are gated on PAS_RIG_SEGMENT_LAZY).
-  AB_LIBS="pas_power benchmark::benchmark" \
-  AB_COPY_EXTRA="bench_fleet_scenario.cpp" \
-  AB_E2E="bench_fleet_scenario $E2E_ARGS" \
-  AB_OUT="$WORK/ab.json" \
-    "$0" "$BASE_REF" bench_micro_rig "$ROUNDS"
-
-  # 3: event counts + sample identity from the NEW binary alone.
-  BIN="$REPO/build-ab/bench/bench_fleet_scenario"
-  echo "== event accounting (segment-lazy vs PAS_RIG_EVENT_DRIVEN=1)"
-  # shellcheck disable=SC2086
-  "$BIN" $E2E_ARGS --csv-dir "$WORK/lazy" | tee "$WORK/lazy.out" | tail -1
-  # shellcheck disable=SC2086
-  PAS_RIG_EVENT_DRIVEN=1 "$BIN" $E2E_ARGS --csv-dir "$WORK/tick" \
-      | tee "$WORK/tick.out" | tail -1
-  for f in "$WORK/lazy"/*; do
-    cmp "$f" "$WORK/tick/$(basename "$f")"
-  done
-  echo "   CSVs byte-identical between samplers"
-
-  python3 - "$WORK" "$OUT" "$E2E_ARGS" <<'PY'
-import json, re, sys
-work, out, e2e_args = sys.argv[1], sys.argv[2], sys.argv[3]
-with open(f"{work}/ab.json") as f:
-    ab = json.load(f)
-def events(path):
-    with open(path) as f:
-        return int(re.search(r"events executed: (\d+)", f.read()).group(1))
-lazy, tick = events(f"{work}/lazy.out"), events(f"{work}/tick.out")
-# The pairing that matters: the baseline tree's per-tick sampler against the
-# new tree's segment-lazy sampler at the same rig count and rate.
-lazy_vs_tick = {}
-for name, row in ab["micro"].items():
-    if name.startswith("BM_RigSegmentLazy/"):
-        args = name.split("/", 1)[1]
-        ref = ab["micro"].get(f"BM_RigPerTick/{args}")
-        if ref and ref.get("baseline_ns"):
-            rigs, period_us = args.split("/")
-            lazy_vs_tick[f"{rigs} rigs, {period_us} us period, 1 s"] = {
-                "per_tick_baseline_ns": ref["baseline_ns"],
-                "segment_lazy_ns": row["new_ns"],
-                "speedup": round(ref["baseline_ns"] / row["new_ns"], 2),
-            }
-result = {
-    "bench": f"bench_fleet_scenario {e2e_args}",
-    "contract": "segment-lazy rig output is byte-identical to the per-tick "
-                "sampler (CSV cmp above, mode-matrix test, parity suite)",
-    "micro": ab["micro"],
-    "micro_lazy_vs_per_tick": lazy_vs_tick,
-    "end_to_end": ab["end_to_end"],
-    "events": {
-        "per_tick": tick,
-        "segment_lazy": lazy,
-        "removed": tick - lazy,
-        "reduction": round(1.0 - lazy / tick, 4),
-    },
-}
-with open(out, "w") as f:
-    json.dump(result, f, indent=2)
-    f.write("\n")
-print(f"\nevents: per-tick {tick}, segment-lazy {lazy} "
-      f"({100 * (1 - lazy / tick):.1f}% removed)")
-print(f"wrote {out}")
-PY
-  exit 0
-fi
-
-if [ "${1:-}" = "ssd-sweep" ]; then
-  BASE_REF="${2:?usage: scripts/bench_ab.sh ssd-sweep <baseline-ref> [rounds]}"
-  ROUNDS="${3:-3}"
-  FIG4_ARGS="${AB_SSD_FIG4:---quick --jobs 1 --seed 1}"
-  FIG9_ARGS="${AB_SSD_FIG9:---quick --jobs 1 --seed 1}"
-  FLEET_ARGS="${AB_SSD_FLEET:---profile diurnal --devices 256 --shards 1 --quick --seed 1}"
-  OUT="${AB_OUT:-$REPO/BENCH_ssd.json}"
-  WORK="$(mktemp -d /tmp/pas-ssd.XXXXXX)"
-  WT="$WORK/baseline"
-  trap 'git -C "$REPO" worktree remove --force "$WT" 2>/dev/null || true; rm -rf "$WORK"' EXIT
-
-  echo "== baseline worktree at $BASE_REF"
-  git -C "$REPO" worktree add --detach "$WT" "$BASE_REF" >/dev/null
-  cp "$REPO/bench/bench_micro_ssd.cpp" "$WT/bench/"
-  if ! grep -q "pas_add_bench(bench_micro_ssd " "$WT/bench/CMakeLists.txt"; then
-    echo "pas_add_bench(bench_micro_ssd pas_core benchmark::benchmark)" \
-        >> "$WT/bench/CMakeLists.txt"
-  fi
-
-  build_ssd() { # build_ssd <src-dir>
-    cmake -S "$1" -B "$1/build-ab" -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
-    cmake --build "$1/build-ab" -j "$(nproc)" --target \
-        bench_micro_ssd bench_fig4_capping_throughput bench_fig9_qd_sweep \
-        bench_fleet_scenario >/dev/null
-  }
-  echo "== building OLD ($BASE_REF) and NEW (working tree)"
-  build_ssd "$WT"
-  build_ssd "$REPO"
-
-  wall_ms() {
-    local t0 t1
-    t0=$(date +%s%N)
-    "$@" >/dev/null 2>&1
-    t1=$(date +%s%N)
-    echo $(( (t1 - t0) / 1000000 ))
-  }
-
-  for r in $(seq 1 "$ROUNDS"); do
-    echo "== round $r/$ROUNDS"
-    # One process per (tree, datapath-group): heap state left behind by
-    # earlier cases skews later ones (see the mode comment above).
-    "$WT/build-ab/bench/bench_micro_ssd" --benchmark_format=json \
-        --benchmark_filter='Legacy' > "$WORK/old_legacy_$r.json" 2>/dev/null
-    "$REPO/build-ab/bench/bench_micro_ssd" --benchmark_format=json \
-        --benchmark_filter='Legacy' > "$WORK/new_legacy_$r.json" 2>/dev/null
-    "$REPO/build-ab/bench/bench_micro_ssd" --benchmark_format=json \
-        --benchmark_filter='Flat' > "$WORK/new_flat_$r.json" 2>/dev/null
-    # shellcheck disable=SC2086
-    wall_ms "$WT/build-ab/bench/bench_fig4_capping_throughput" $FIG4_ARGS \
-        > "$WORK/old_fig4_$r"
-    # shellcheck disable=SC2086
-    wall_ms "$REPO/build-ab/bench/bench_fig4_capping_throughput" $FIG4_ARGS \
-        > "$WORK/new_fig4_$r"
-    # shellcheck disable=SC2086
-    wall_ms "$WT/build-ab/bench/bench_fig9_qd_sweep" $FIG9_ARGS \
-        > "$WORK/old_fig9_$r"
-    # shellcheck disable=SC2086
-    wall_ms "$REPO/build-ab/bench/bench_fig9_qd_sweep" $FIG9_ARGS \
-        > "$WORK/new_fig9_$r"
-    # shellcheck disable=SC2086
-    wall_ms "$WT/build-ab/bench/bench_fleet_scenario" $FLEET_ARGS \
-        > "$WORK/old_fleet_$r"
-    # shellcheck disable=SC2086
-    wall_ms "$REPO/build-ab/bench/bench_fleet_scenario" $FLEET_ARGS \
-        > "$WORK/new_fleet_$r"
-  done
-
-  echo "== same-binary datapath parity (flat vs PAS_SSD_FLAT_PATH=0)"
-  # shellcheck disable=SC2086
-  "$REPO/build-ab/bench/bench_fig4_capping_throughput" $FIG4_ARGS \
-      --csv-dir "$WORK/flat" >/dev/null
-  # shellcheck disable=SC2086
-  PAS_SSD_FLAT_PATH=0 "$REPO/build-ab/bench/bench_fig4_capping_throughput" \
-      $FIG4_ARGS --csv-dir "$WORK/legacy" >/dev/null
-  for f in "$WORK/flat"/*; do
-    cmp "$f" "$WORK/legacy/$(basename "$f")"
-  done
-  echo "   fig4 tables byte-identical with the flat path on and off"
-
-  python3 - "$WORK" "$ROUNDS" "$OUT" "$BASE_REF" "$FIG4_ARGS" "$FIG9_ARGS" \
-      "$FLEET_ARGS" <<'PY'
-import json, sys
-work, rounds, out = sys.argv[1], int(sys.argv[2]), sys.argv[3]
-base_ref, fig4_args, fig9_args, fleet_args = sys.argv[4:8]
-
-def mins(*prefixes):
-    best = {}
-    for prefix in prefixes:
-        for r in range(1, rounds + 1):
-            with open(f"{work}/{prefix}_{r}.json") as f:
-                for b in json.load(f)["benchmarks"]:
-                    t = b["real_time"]  # ns
-                    cur = best.get(b["name"])
-                    if cur is None or t < cur["ns"]:
-                        best[b["name"]] = {"ns": t,
-                                           "allocs_per_io": b.get("allocs_per_io")}
-    return best
-
-def e2e_min(prefix):
-    return min(int(open(f"{work}/{prefix}_{r}").read())
-               for r in range(1, rounds + 1))
-
-old, new = mins("old_legacy"), mins("new_legacy", "new_flat")
-micro = {}
-print(f"\n{'case':<26}{'old_ns':>12}{'new_ns':>12}{'speedup':>9}{'allocs/io':>11}")
-for name, row in new.items():
-    ref = old.get(name)
-    micro[name] = {
-        "baseline_ns": round(ref["ns"]) if ref else None,
-        "new_ns": round(row["ns"]),
-        "speedup": round(ref["ns"] / row["ns"], 2) if ref else None,
-        "allocs_per_io": row["allocs_per_io"],
-    }
-    alloc = "" if row["allocs_per_io"] is None else f"{row['allocs_per_io']:>11.4f}"
-    if ref:
-        print(f"{name:<26}{ref['ns']:>12.0f}{row['ns']:>12.0f}"
-              f"{ref['ns']/row['ns']:>8.2f}x{alloc}")
-    else:
-        print(f"{name:<26}{'(new API)':>12}{row['ns']:>12.0f}{'—':>9}{alloc}")
-
-# The pairing that matters: the seed tree's legacy datapath against the new
-# tree's flat datapath at the same queue depth and chunk size.
-flat_vs_seed = {}
-for name, row in new.items():
-    if "Flat/" in name:
-        kind, args = name.split("/", 1)
-        ref = old.get(name.replace("Flat/", "Legacy/"))
-        if ref:
-            qd, chunk = args.split("/")
-            flat_vs_seed[f"{kind.removeprefix('BM_Ssd')} qd{qd} {chunk}KiB"] = {
-                "seed_legacy_ns": round(ref["ns"]),
-                "flat_ns": round(row["ns"]),
-                "speedup": round(ref["ns"] / row["ns"], 2),
-            }
-
-e2e = {}
-for key, args in (("fig4", fig4_args), ("fig9", fig9_args), ("fleet", fleet_args)):
-    o, n = e2e_min(f"old_{key}"), e2e_min(f"new_{key}")
-    e2e[key] = {"args": args, "baseline_ms": o, "new_ms": n,
-                "speedup": round(o / n, 2)}
-    print(f"\n{key}: baseline {o} ms, new {n} ms, {o/n:.2f}x")
-
-result = {
-    "baseline_ref": base_ref,
-    "contract": "flat datapath output is byte-identical to the legacy path "
-                "(fig4 CSV cmp above, parity suite with PAS_SSD_FLAT_PATH=0, "
-                "dual-path tests)",
-    "micro": micro,
-    "micro_flat_vs_seed_legacy": flat_vs_seed,
-    "end_to_end": e2e,
-}
-with open(out, "w") as f:
-    json.dump(result, f, indent=2)
-    f.write("\n")
-print(f"\nwrote {out}")
-PY
-  exit 0
-fi
 
 if [ "${1:-}" = "fleet-sweep" ]; then
   DEVICES="${AB_FLEET_DEVICES:-64 256 1000}"
@@ -401,99 +108,5 @@ PY
   exit 0
 fi
 
-BASE_REF="${1:?usage: scripts/bench_ab.sh <baseline-ref> [bench-name] [rounds]}"
-BENCH="${2:-bench_micro_trace}"
-ROUNDS="${3:-3}"
-AB_LIBS="${AB_LIBS:-pas_power benchmark::benchmark}"
-AB_OUT="${AB_OUT:-/tmp/bench_ab_result.json}"
-
-WORK="$(mktemp -d /tmp/pas-ab.XXXXXX)"
-WT="$WORK/baseline"
-trap 'git -C "$REPO" worktree remove --force "$WT" 2>/dev/null || true; rm -rf "$WORK"' EXIT
-
-echo "== baseline worktree at $BASE_REF"
-git -C "$REPO" worktree add --detach "$WT" "$BASE_REF" >/dev/null
-
-# Ship the bench source to the baseline and register it if that tree predates
-# the bench. The source must compile against both APIs (see header comment).
-cp "$REPO/bench/$BENCH.cpp" "$WT/bench/"
-if ! grep -q "pas_add_bench($BENCH " "$WT/bench/CMakeLists.txt"; then
-  echo "pas_add_bench($BENCH $AB_LIBS)" >> "$WT/bench/CMakeLists.txt"
-fi
-# Extra sources to ship alongside (e.g. an e2e scenario whose current form
-# both trees should run); each must also compile against both APIs.
-for f in ${AB_COPY_EXTRA:-}; do
-  cp "$REPO/bench/$f" "$WT/bench/"
-done
-
-build() { # build <src-dir> — configure+build RelWithDebInfo into <src-dir>/build-ab
-  cmake -S "$1" -B "$1/build-ab" -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
-  cmake --build "$1/build-ab" --target "$BENCH" -j "$(nproc)" >/dev/null
-  if [ -n "${AB_E2E:-}" ]; then
-    cmake --build "$1/build-ab" --target "${AB_E2E%% *}" -j "$(nproc)" >/dev/null
-  fi
-}
-echo "== building OLD ($BASE_REF) and NEW (working tree)"
-build "$WT"
-build "$REPO"
-
-OLD_BIN="$WT/build-ab/bench/$BENCH"
-NEW_BIN="$REPO/build-ab/bench/$BENCH"
-
-wall_ms() { # wall_ms <binary> <args...> — one run's wall time in ms on stdout
-  local t0 t1
-  t0=$(date +%s%N)
-  "$@" >/dev/null 2>&1
-  t1=$(date +%s%N)
-  echo $(( (t1 - t0) / 1000000 ))
-}
-
-for r in $(seq 1 "$ROUNDS"); do
-  echo "== round $r/$ROUNDS"
-  "$OLD_BIN" --benchmark_format=json > "$WORK/old_$r.json" 2>/dev/null
-  "$NEW_BIN" --benchmark_format=json > "$WORK/new_$r.json" 2>/dev/null
-  if [ -n "${AB_E2E:-}" ]; then
-    # shellcheck disable=SC2086
-    wall_ms "$WT/build-ab/bench/"${AB_E2E} > "$WORK/old_e2e_$r"
-    # shellcheck disable=SC2086
-    wall_ms "$REPO/build-ab/bench/"${AB_E2E} > "$WORK/new_e2e_$r"
-  fi
-done
-
-python3 - "$WORK" "$ROUNDS" "$AB_OUT" "${AB_E2E:-}" <<'PY'
-import json, sys, glob, os
-work, rounds, out, e2e = sys.argv[1], int(sys.argv[2]), sys.argv[3], sys.argv[4]
-
-def mins(prefix):
-    best = {}
-    for r in range(1, rounds + 1):
-        with open(f"{work}/{prefix}_{r}.json") as f:
-            for b in json.load(f)["benchmarks"]:
-                t = b["real_time"]  # ns by default
-                best[b["name"]] = min(best.get(b["name"], t), t)
-    return best
-
-old, new = mins("old"), mins("new")
-result = {"micro": {}, "end_to_end": {}}
-print(f"\n{'case':<28}{'baseline_ns':>14}{'new_ns':>12}{'speedup':>9}")
-for name, t in new.items():
-    if name in old:
-        result["micro"][name] = {"baseline_ns": round(old[name]), "new_ns": round(t),
-                                 "speedup": round(old[name] / t, 2)}
-        print(f"{name:<28}{old[name]:>14.0f}{t:>12.0f}{old[name]/t:>8.2f}x")
-    else:
-        result["micro"][name] = {"baseline_ns": None, "new_ns": round(t), "speedup": None}
-        print(f"{name:<28}{'(new API)':>14}{t:>12.0f}{'—':>9}")
-
-if e2e:
-    o = min(int(open(f"{work}/old_e2e_{r}").read()) for r in range(1, rounds + 1))
-    n = min(int(open(f"{work}/new_e2e_{r}").read()) for r in range(1, rounds + 1))
-    result["end_to_end"][e2e.split()[0]] = {
-        "args": " ".join(e2e.split()[1:]), "baseline_ms": o, "new_ms": n,
-        "speedup": round(o / n, 2)}
-    print(f"\n{e2e}: baseline {o} ms, new {n} ms, {o/n:.2f}x")
-
-with open(out, "w") as f:
-    json.dump(result, f, indent=2)
-print(f"\nwrote {out}")
-PY
+echo "usage: scripts/bench_ab.sh fleet-sweep | slo-sweep" >&2
+exit 2

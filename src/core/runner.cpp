@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -105,6 +108,23 @@ std::vector<ExperimentOutput> CampaignRunner::run(const std::vector<CellSpec>& c
   return outputs;
 }
 
+std::uint64_t parse_uint_flag(const char* prog, const char* flag, const char* value,
+                              std::uint64_t lo, std::uint64_t hi) {
+  // strtoull skips leading blanks and negates a leading '-', so the value
+  // must start with a digit; it must also end with one and fit 64 bits.
+  const bool digit_first = value[0] >= '0' && value[0] <= '9';
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long x = digit_first ? std::strtoull(value, &end, 10) : 0;
+  if (!digit_first || errno == ERANGE || *end != '\0' || x < lo || x > hi) {
+    std::fprintf(stderr, "%s: %s expects an integer in [%llu, %llu], got '%s'\n", prog, flag,
+                 static_cast<unsigned long long>(lo), static_cast<unsigned long long>(hi),
+                 value);
+    std::exit(2);
+  }
+  return x;
+}
+
 BenchCli parse_bench_cli(int argc, char** argv, double default_scale) {
   return parse_bench_cli(argc, argv, default_scale, {});
 }
@@ -123,37 +143,25 @@ BenchCli parse_bench_cli(int argc, char** argv, double default_scale,
     }
     return argv[++i];
   };
-  auto numeric = [&](const char* flag, const char* v) -> double {
-    char* end = nullptr;
-    const double x = std::strtod(v, &end);
-    if (end == v || *end != '\0') {
-      std::fprintf(stderr, "%s: %s expects a number, got '%s'\n", argv[0], flag, v);
-      std::exit(2);
-    }
-    return x;
-  };
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--full") == 0) {
       cli.experiment.io_limit_scale = 1.0;
     } else if (std::strcmp(argv[i], "--quick") == 0) {
       cli.experiment.io_limit_scale = 0.0625;
     } else if (const char* v = value_of(i, "--scale")) {
-      cli.experiment.io_limit_scale = numeric("--scale", v);
-      if (cli.experiment.io_limit_scale <= 0.0) {
-        std::fprintf(stderr, "%s: --scale must be > 0\n", argv[0]);
+      char* end = nullptr;
+      const double x = std::strtod(v, &end);
+      if (end == v || *end != '\0' || !std::isfinite(x) || x <= 0.0) {
+        std::fprintf(stderr, "%s: --scale expects a finite number > 0, got '%s'\n", argv[0], v);
         std::exit(2);
       }
+      cli.experiment.io_limit_scale = x;
     } else if (const char* v = value_of(i, "--jobs")) {
-      cli.jobs = static_cast<int>(numeric("--jobs", v));
+      cli.jobs = static_cast<int>(parse_uint_flag(argv[0], "--jobs", v, 0, INT_MAX));
     } else if (const char* v = value_of(i, "--csv-dir")) {
       cli.csv_dir = v;
     } else if (const char* v = value_of(i, "--seed")) {
-      char* end = nullptr;
-      cli.experiment.seed = std::strtoull(v, &end, 10);
-      if (end == v || *end != '\0') {
-        std::fprintf(stderr, "%s: --seed expects an integer, got '%s'\n", argv[0], v);
-        std::exit(2);
-      }
+      cli.experiment.seed = parse_uint_flag(argv[0], "--seed", v, 0, UINT64_MAX);
     } else if (std::strcmp(argv[i], "--help") == 0 || std::strcmp(argv[i], "-h") == 0) {
       std::printf(
           "usage: %s [--full | --quick | --scale F] [--jobs N] [--csv-dir DIR] [--seed S]%s\n"

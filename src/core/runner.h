@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <span>
 #include <string>
@@ -74,13 +75,15 @@ class CampaignRunner {
 // Command line shared by the reproduction benches:
 //   --full        the paper's exact 4 GiB / 60 s cells (scale 1.0)
 //   --quick       256 MiB smoke cells (scale 0.0625)
-//   --scale F     explicit io_limit_scale
-//   --jobs N      worker threads (default: hardware_concurrency / PAS_JOBS)
+//   --scale F     explicit io_limit_scale (finite, > 0)
+//   --jobs N      worker threads (0, the default: hardware_concurrency /
+//                 PAS_JOBS)
 //   --csv-dir D   mirror every table as CSV + JSON under D
-//   --seed S      base seed (per-cell seeds are derived from it)
-// `default_scale` is the io_limit_scale used when neither --full, --quick
-// nor --scale is given (the benches' 1 GiB default; calibration_report
-// passes 1.0 to keep the paper's exact cells).
+//   --seed S      base seed in [0, 2^64) (per-cell seeds are derived from it)
+// A malformed or out-of-range value exits 2 with a message naming the flag
+// and the value. `default_scale` is the io_limit_scale used when neither
+// --full, --quick nor --scale is given (the benches' 1 GiB default;
+// calibration_report passes 1.0 to keep the paper's exact cells).
 struct BenchCli {
   ExperimentOptions experiment;
   int jobs = 0;  // 0 = default_jobs()
@@ -103,6 +106,13 @@ struct BenchFlag {
 // --devices/--shards/--profile). Unknown options still exit 2.
 BenchCli parse_bench_cli(int argc, char** argv, double default_scale,
                          std::span<const BenchFlag> extra);
+
+// The value of integer flag `flag` as a base-10 integer in [lo, hi]. A sign,
+// a trailing character, a fraction or an out-of-range value prints
+// "<prog>: <flag> expects an integer in [lo, hi], got '<value>'" and exits 2.
+// parse_bench_cli reads --jobs and --seed with it; bench flags can too.
+std::uint64_t parse_uint_flag(const char* prog, const char* flag, const char* value,
+                              std::uint64_t lo, std::uint64_t hi);
 
 // RunnerOptions for a bench: the CLI's jobs/experiment plus a stderr
 // progress line ("[12/108] 3.4s, 3.5 cells/s").

@@ -1,7 +1,5 @@
 #include "devices/specs.h"
 
-#include <cstdlib>
-
 #include "common/check.h"
 
 namespace pas::devices {
@@ -231,14 +229,6 @@ double rail_voltage(DeviceId id) {
 power::RigConfig rig_for(DeviceId id) {
   power::RigConfig rc;
   rc.rail_voltage_v = rail_voltage(id);
-  // A/B escape hatch: PAS_RIG_EVENT_DRIVEN=1 re-rigs every fleet with the
-  // per-tick reference sampler, so scripts/bench_ab.sh rig-sweep can compare
-  // event counts and output bytes from ONE binary.
-  static const bool event_driven = [] {
-    const char* env = std::getenv("PAS_RIG_EVENT_DRIVEN");
-    return env != nullptr && env[0] == '1';
-  }();
-  rc.event_driven = event_driven;
   return rc;
 }
 
@@ -261,14 +251,6 @@ std::unique_ptr<ssd::SsdDevice> make_ssd(DeviceId id, sim::Simulator& sim, std::
       PAS_CHECK_MSG(false, "not an SSD");
       return nullptr;
   }
-  // A/B escape hatch: PAS_SSD_FLAT_PATH=0 routes every spec-built SSD through
-  // the legacy per-IO closure chain, so scripts/bench_ab.sh ssd-sweep can
-  // byte-compare the two datapaths from ONE binary.
-  static const bool flat = [] {
-    const char* env = std::getenv("PAS_SSD_FLAT_PATH");
-    return env == nullptr || env[0] != '0';
-  }();
-  c.flat_datapath = flat;
   return std::make_unique<ssd::SsdDevice>(sim, std::move(c), seed);
 }
 

@@ -13,8 +13,7 @@ MeasurementRig::MeasurementRig(sim::Simulator& sim, sim::BlockDevice& device,
     : sim_(sim),
       device_(device),
       config_(config),
-      rng_(noise_seed),
-      task_(sim, config.sample_period, [this] { sample(); }) {
+      rng_(noise_seed) {
   PAS_CHECK(config_.rail_voltage_v > 0.0);
   PAS_CHECK(config_.shunt_ohms > 0.0);
   PAS_CHECK(config_.amp_gain > 0.0);
@@ -47,7 +46,7 @@ MeasurementRig::MeasurementRig(sim::Simulator& sim, sim::BlockDevice& device,
 MeasurementRig::~MeasurementRig() {
   // Detach without materializing: pending samples die with the trace they
   // would have landed in, and a sink may already be gone.
-  if (started_ && !config_.event_driven) device_.set_power_observer(nullptr);
+  if (started_) device_.set_power_observer(nullptr);
 }
 
 void MeasurementRig::fail(const char* what) const {
@@ -60,25 +59,19 @@ void MeasurementRig::start() {
   started_ = true;
   last_energy_ = device_.consumed_energy();
   last_sample_time_ = sim_.now();
-  if (config_.event_driven) {
-    task_.start();
-    return;
-  }
   // Snapshot the meter's exact open segment, then mirror every update from
-  // here on. The first tick is one period out, as the periodic path's arm().
+  // here on. The first tick is one period out.
   seg_ = device_.power_segment();
   next_tick_ = sim_.now() + config_.sample_period;
   device_.set_power_observer(this);
 }
 
 void MeasurementRig::stop() {
-  if (started_ && !config_.event_driven) {
-    // A tick landing exactly on now() belongs to this run: the periodic path
-    // fires it before the caller regains control and can stop the rig.
-    materialize();
-    device_.set_power_observer(nullptr);
-  }
-  task_.stop();
+  if (!started_) return;
+  // A tick landing exactly on now() belongs to this run, as a per-tick
+  // sampler's tick event fires before the caller regains control.
+  materialize();
+  device_.set_power_observer(nullptr);
   started_ = false;
 }
 
@@ -113,7 +106,7 @@ void MeasurementRig::push_tick() {
 }
 
 void MeasurementRig::materialize() {
-  if (started_ && !config_.event_driven) {
+  if (started_) {
     const TimeNs now = sim_.now();
     while (next_tick_ <= now) push_tick();
   }
@@ -129,8 +122,7 @@ void MeasurementRig::flush_pending() {
     const TimeNs t = pending_first_t_ + static_cast<TimeNs>(i) * period;
     const Watts measured = measure_once(pending_raw_[i]);
     // Retention: the trace is the default; a sink and/or streaming stats
-    // replace it (rack-scale modes — no per-device trace is kept). Same
-    // dispatch, same order, as the per-tick reference path.
+    // replace it (rack-scale modes — no per-device trace is kept).
     if (sink_) sink_(t, measured);
     if (stats_ != nullptr) {
       stats_->add(t, measured);
@@ -174,7 +166,6 @@ void MeasurementRig::set_sample_period(TimeNs period) {
          "dispatched to the trace, sink, or streaming stats)");
   }
   config_.sample_period = period;
-  task_.set_period(period);
 }
 
 void MeasurementRig::enable_streaming(TimeNs window) {
@@ -215,33 +206,6 @@ Watts MeasurementRig::measure_once(Watts true_power) {
   const double est_shunt_v = adc_v / recon_gain_ - recon_offset_v_;
   const double est_current_a = est_shunt_v / config_.shunt_ohms;
   return std::max(0.0, est_current_a * config_.rail_voltage_v);
-}
-
-// The per-tick reference sampler (config.event_driven). This is the retired
-// hot path, kept verbatim: the matrix test drives it against the lazy path
-// over every mode combination and asserts byte-identical output, and the
-// rig-sweep A/B re-rigs whole fleets with it to count events.
-void MeasurementRig::sample() {
-  const TimeNs now = sim_.now();
-  Watts true_power = 0.0;
-  if (config_.integrating) {
-    const Joules energy = device_.consumed_energy();
-    const TimeNs dt = now - last_sample_time_;
-    PAS_CHECK(dt > 0);
-    true_power = (energy - last_energy_) / to_seconds(dt);
-    last_energy_ = energy;
-    last_sample_time_ = now;
-  } else {
-    true_power = device_.instantaneous_power();
-  }
-  const Watts measured = measure_once(true_power);
-  if (sink_) sink_(now, measured);
-  if (stats_ != nullptr) {
-    stats_->add(now, measured);
-  } else if (!sink_) {
-    trace_.add(now, measured);
-  }
-  ++samples_emitted_;
 }
 
 }  // namespace pas::power

@@ -20,9 +20,9 @@
 // materialize(), which replays the pending ticks in one batch loop in exact
 // per-sample order. Because the noise RNG is drawn in the same order and the
 // energy expressions use the same operands, every retention mode is
-// bit-identical to the retired per-tick sampler; config.event_driven keeps
-// that per-tick reference implementation alive for the parity matrix test
-// and for A/B event-count measurements (scripts/bench_ab.sh rig-sweep).
+// bit-identical to a per-tick sampler that reads the device at every ADC
+// tick; power_rig_lazy_test builds that reference from the public API and
+// asserts exact equality across the mode matrix.
 #pragma once
 
 #include <functional>
@@ -36,11 +36,6 @@
 #include "sim/block_device.h"
 #include "sim/power_signal.h"
 #include "sim/simulator.h"
-
-// Feature-test macro for A/B tooling: bench sources compiled against a
-// pre-segment-lazy tree (scripts/bench_ab.sh baseline worktrees) gate their
-// new-API cases on this.
-#define PAS_RIG_SEGMENT_LAZY 1
 
 namespace pas::power {
 
@@ -68,11 +63,6 @@ struct RigConfig {
   // Two-point calibration against known loads removes offset and most gain
   // error, as performed on the physical rig before each experiment.
   bool calibrated = true;
-  // Reference mode: sample with one simulator event per ADC tick (the
-  // pre-segment-lazy implementation) instead of lazily. Kept for the
-  // bit-identity matrix test and the rig-sweep A/B (PAS_RIG_EVENT_DRIVEN=1
-  // re-rigs a whole fleet this way); everything else uses the lazy default.
-  bool event_driven = false;
 };
 
 // Samples one device. Construct, then start(); samples accumulate in trace().
@@ -90,8 +80,8 @@ class MeasurementRig : private sim::PowerObserver {
   // (measurement chain + retention dispatch), in one batch loop. Called
   // implicitly by stop() and by every read accessor; the fleet hosts also
   // call it at epoch boundaries so pending work is bounded by one epoch and
-  // runs on the shard's worker thread. No-op when stopped, event-driven, or
-  // already caught up.
+  // runs on the shard's worker thread. No-op when stopped or already caught
+  // up.
   void materialize();
 
   // Reads materialize first (logically const: the samples exist as of now()
@@ -127,13 +117,11 @@ class MeasurementRig : private sim::PowerObserver {
   const RigConfig& config() const { return config_; }
 
   // Converts one true-power value through the analog chain and back —
-  // exposed for the accuracy characterization tests.
+  // exposed for the accuracy characterization tests and the per-tick
+  // reference in power_rig_lazy_test. Each call draws the chain's noise.
   Watts measure_once(Watts true_power);
 
  private:
-  // Per-tick reference path (config.event_driven): PeriodicTask callback.
-  void sample();
-
   // --- segment-lazy internals ---
   // Mirror update: converts ticks strictly before seg.since under the
   // closing segment, then adopts seg. A tick exactly at seg.since is left
@@ -155,7 +143,6 @@ class MeasurementRig : private sim::PowerObserver {
   PowerTrace trace_;
   SampleSink sink_;                            // null: retain samples locally
   std::unique_ptr<StreamingTraceStats> stats_; // null: full-trace retention
-  sim::PeriodicTask task_;                     // armed only when event_driven
 
   // Actual (imperfect) chain constants, drawn once at construction.
   double actual_shunt_ohms_;

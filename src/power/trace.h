@@ -19,11 +19,6 @@
 #include "common/stats.h"
 #include "common/units.h"
 
-// Feature-test macro for A/B tooling: lets bench sources that are compiled
-// against the pre-SoA trace (scripts/bench_ab.sh baseline worktrees) gate
-// their new-API cases out.
-#define PAS_POWER_TRACE_SOA 1
-
 namespace pas::power {
 
 struct PowerSample {

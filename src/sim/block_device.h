@@ -44,10 +44,10 @@ struct IoCompletion {
 // Move-only with inline storage (sim/callback.h): a completion traverses the
 // device pipeline by relocation, never by wrapping in a fresh heap closure.
 // The 24-byte buffer keeps sizeof(IoCallback) at 32 — the footprint of the
-// std::function it replaced — so the legacy datapaths' per-stage captures
-// ({this, IoRequest, IoCallback, TimeNs} = 72 bytes) still ride inline in
-// the kernel's event slots; completion lambdas capturing more than 24 bytes
-// pay one heap allocation at submit, exactly as they did under std::function.
+// std::function it replaced — so the HDD's per-stage capture
+// ({this, PendingOp} = 8 + 64 bytes) still rides inline in the kernel's
+// event slots; completion lambdas capturing more than 24 bytes pay one heap
+// allocation at submit, exactly as they did under std::function.
 using IoCallback = UniqueFunction<void(const IoCompletion&), 24>;
 
 class BlockDevice {

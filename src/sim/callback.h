@@ -9,14 +9,14 @@
 // touches the heap.
 //
 // The inline capacity is per-instantiation because the sizes feed each
-// other: the largest hot-path capture in the tree is the per-IO continuation
-// {this, IoRequest, IoCallback, TimeNs} that the legacy device datapaths
-// reschedule at every pipeline stage, and it only fits the kernel slot if
-// IoCallback itself stays small. The default 72 bytes sizes the kernel slot
-// for exactly that capture (8 + 24 + 32 + 8 = 72 with the 32-byte
-// IoCallback); IoCallback uses a 24-byte buffer so its footprint matches the
-// libstdc++ std::function it replaced. Smaller captures — pooled-context
-// stages ({ctx*}, 8 B), the NandArray die/channel chains (32 B), bare [this]
+// other: the largest hot-path capture in the tree is the HDD's per-stage
+// continuation {this, PendingOp} (PendingOp = IoRequest, submit TimeNs,
+// IoCallback), and it only fits the kernel slot if IoCallback itself stays
+// small. The default 72 bytes sizes the kernel slot for exactly that capture
+// (8 + 24 + 8 + 32 = 72 with the 32-byte IoCallback); IoCallback uses a
+// 24-byte buffer so its footprint matches the libstdc++ std::function it
+// replaced. Smaller captures — the SSD's pooled-context stages
+// ({this, ctx*}, 16 B), the NandArray die/channel chains (32 B), bare [this]
 // lambdas (8 B) — fit with room to spare. Callables that are larger,
 // over-aligned, or throwing-move fall back to a single heap allocation, so
 // arbitrary captures stay correct, just slower.

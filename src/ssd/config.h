@@ -60,13 +60,6 @@ struct SsdConfig {
   // throughput ratios the paper reports across power states.
   double vr_loss_w_per_w2 = 0.0;
 
-  // Datapath selection. The flat path drives each host IO through a pooled
-  // IoContext state machine with run-length buffer bookkeeping; the legacy
-  // per-IO closure chain is kept as the bit-identical reference
-  // (scripts/bench_ab.sh ssd-sweep compares the two; PAS_SSD_FLAT_PATH=0
-  // selects legacy for devices built via src/devices/specs.cpp).
-  bool flat_datapath = true;
-
   // Power-loss-protected DRAM write buffer.
   std::uint64_t write_buffer_bytes = 64 * MiB;
   // Buffered data older than this destages even in a partial stripe.

@@ -17,7 +17,6 @@ SsdDevice::SsdDevice(sim::Simulator& sim, SsdConfig config, std::uint64_t seed)
       meter_(sim.now(), 0.0),
       cores_(config_.cmd_cores),
       link_(),
-      flat_(config_.flat_datapath),
       buffered_(config_.capacity_bytes / config_.sector_bytes) {
   PAS_CHECK(config_.capacity_bytes % config_.sector_bytes == 0);
   ftl_ = std::make_unique<Ftl>(
@@ -44,7 +43,7 @@ void SsdDevice::schedule_bg_activity() {
   sim_.schedule_after(std::max<TimeNs>(microseconds(100), delay), [this] {
     bg_timer_armed_ = false;
     const bool host_busy =
-        host_inflight_ > 0 || !destage_queue_empty() || inflight_programs_ > 0;
+        host_inflight_ > 0 || !destage_runs_.empty() || inflight_programs_ > 0;
     if (!host_busy || alpm_ != AlpmState::kActive) return;
     const int dies = config_.nand.total_dies();
     for (int i = 0; i < config_.bg_burst_ops; ++i) {
@@ -155,31 +154,11 @@ void SsdDevice::submit(const sim::IoRequest& req, sim::IoCallback done) {
       ++stats_.flush_cmds;
       break;
   }
-  if (flat_) {
-    IoContext* ctx = alloc_io_ctx(req, submit_time, std::move(done));
-    ctx->stage = req.op == sim::IoOp::kWrite   ? IoStage::kWriteStart
-                 : req.op == sim::IoOp::kRead  ? IoStage::kReadStart
-                                               : IoStage::kFlushStart;
-    wake_then([this, ctx] { advance(ctx); });
-    return;
-  }
-  switch (req.op) {
-    case sim::IoOp::kWrite:
-      wake_then([this, req, done = std::move(done), submit_time]() mutable {
-        start_write(req, std::move(done), submit_time);
-      });
-      break;
-    case sim::IoOp::kRead:
-      wake_then([this, req, done = std::move(done), submit_time]() mutable {
-        start_read(req, std::move(done), submit_time);
-      });
-      break;
-    case sim::IoOp::kFlush:
-      wake_then([this, req, done = std::move(done), submit_time]() mutable {
-        start_flush(req, std::move(done), submit_time);
-      });
-      break;
-  }
+  IoContext* ctx = alloc_io_ctx(req, submit_time, std::move(done));
+  ctx->stage = req.op == sim::IoOp::kWrite   ? IoStage::kWriteStart
+               : req.op == sim::IoOp::kRead  ? IoStage::kReadStart
+                                             : IoStage::kFlushStart;
+  wake_then([this, ctx] { advance(ctx); });
 }
 
 SsdDevice::IoContext* SsdDevice::alloc_io_ctx(const sim::IoRequest& req,
@@ -202,8 +181,6 @@ SsdDevice::IoContext* SsdDevice::alloc_io_ctx(const sim::IoRequest& req,
 
 // One host IO = one context walking this switch; every hop (resource grant,
 // timer, media completion) re-enters with the next stage already recorded.
-// The hops mirror the legacy closure chains exactly — same resources, same
-// delays, same call order — so the two paths are event-for-event identical.
 void SsdDevice::advance(IoContext* ctx) {
   switch (ctx->stage) {
     case IoStage::kWriteStart:
@@ -229,8 +206,8 @@ void SsdDevice::advance(IoContext* ctx) {
       return;
     case IoStage::kWriteXferDone:
       link_.release();
-      enqueue_destage_flat(ctx->req.offset / config_.sector_bytes,
-                           static_cast<std::uint32_t>(ctx->req.bytes / config_.sector_bytes));
+      enqueue_destage(ctx->req.offset / config_.sector_bytes,
+                      static_cast<std::uint32_t>(ctx->req.bytes / config_.sector_bytes));
       ctx->stage = IoStage::kComplete;
       sim_.schedule_after(scaled_write(config_.t_fw_write) + dma_gap_time(ctx->req.bytes),
                           [this, ctx] { advance(ctx); });
@@ -255,7 +232,7 @@ void SsdDevice::advance(IoContext* ctx) {
           });
       ctx->stage = IoStage::kReadMediaDone;
       if (ctx->media_runs.empty()) {
-        advance(ctx);  // full buffer hit: no media trip (same as legacy)
+        advance(ctx);  // full buffer hit: no media trip
         return;
       }
       ftl_->read_runs(ctx->media_runs.data(), ctx->media_runs.size(),
@@ -287,7 +264,7 @@ void SsdDevice::advance(IoContext* ctx) {
       return;
     case IoStage::kFlushCoreDone:
       cores_.release();
-      maybe_destage_flat(/*force_partial=*/true);
+      maybe_destage(/*force_partial=*/true);
       if (destage_runs_.empty() && inflight_programs_ == 0) {
         io_complete(ctx);
         return;
@@ -311,88 +288,6 @@ void SsdDevice::io_complete(IoContext* ctx) {
   ctx->next_free = io_ctx_free_;
   io_ctx_free_ = ctx;
   ++io_ctx_free_count_;
-  --host_inflight_;
-  done(sim::IoCompletion{req, submit_time, sim_.now()});
-  maybe_enter_pending_slumber();
-}
-
-void SsdDevice::start_write(sim::IoRequest req, sim::IoCallback done, TimeNs submit_time) {
-  cores_.acquire([this, req, done = std::move(done), submit_time]() mutable {
-    sim_.schedule_after(scaled_write(config_.t_proc_write),
-                        [this, req, done = std::move(done), submit_time]() mutable {
-      cores_.release();
-      reserve_buffer(req.bytes, [this, req, done = std::move(done), submit_time]() mutable {
-        link_.acquire([this, req, done = std::move(done), submit_time]() mutable {
-          sim_.schedule_after(link_time(req.bytes),
-                              [this, req, done = std::move(done), submit_time]() mutable {
-            link_.release();
-            enqueue_destage(req.offset / config_.sector_bytes,
-                            req.bytes / config_.sector_bytes);
-            sim_.schedule_after(scaled_write(config_.t_fw_write) + dma_gap_time(req.bytes),
-                                [this, req, done = std::move(done), submit_time] {
-              complete(req, submit_time, done);
-            });
-          });
-        });
-      });
-    });
-  });
-}
-
-void SsdDevice::start_read(sim::IoRequest req, sim::IoCallback done, TimeNs submit_time) {
-  cores_.acquire([this, req, done = std::move(done), submit_time]() mutable {
-    sim_.schedule_after(scaled(config_.t_proc_read),
-                        [this, req, done = std::move(done), submit_time]() mutable {
-      cores_.release();
-      // Units still sitting in the write buffer are served from DRAM.
-      std::vector<std::uint64_t> media_lpns;
-      const std::uint64_t first = req.offset / config_.sector_bytes;
-      const std::uint64_t units = req.bytes / config_.sector_bytes;
-      for (std::uint64_t u = 0; u < units; ++u) {
-        if (buffered_counts_.find(first + u) == buffered_counts_.end()) {
-          media_lpns.push_back(first + u);
-        }
-      }
-      auto after_media = [this, req, done = std::move(done), submit_time]() mutable {
-        link_.acquire([this, req, done = std::move(done), submit_time]() mutable {
-          sim_.schedule_after(link_time(req.bytes),
-                              [this, req, done = std::move(done), submit_time]() mutable {
-            link_.release();
-            sim_.schedule_after(scaled(config_.t_fw_read) + dma_gap_time(req.bytes),
-                                [this, req, done = std::move(done), submit_time] {
-              complete(req, submit_time, done);
-            });
-          });
-        });
-      };
-      if (media_lpns.empty()) {
-        after_media();
-      } else {
-        ftl_->read_units(media_lpns, std::move(after_media));
-      }
-    });
-  });
-}
-
-void SsdDevice::start_flush(sim::IoRequest req, sim::IoCallback done, TimeNs submit_time) {
-  cores_.acquire([this, req, done = std::move(done), submit_time]() mutable {
-    sim_.schedule_after(scaled(config_.t_proc_write),
-                        [this, req, done = std::move(done), submit_time]() mutable {
-      cores_.release();
-      maybe_destage(/*force_partial=*/true);
-      if (destage_fifo_.empty() && inflight_programs_ == 0) {
-        complete(req, submit_time, done);
-        return;
-      }
-      flush_waiters_.push_back([this, req, done = std::move(done), submit_time] {
-        complete(req, submit_time, done);
-      });
-    });
-  });
-}
-
-void SsdDevice::complete(const sim::IoRequest& req, TimeNs submit_time,
-                         const sim::IoCallback& done) {
   --host_inflight_;
   done(sim::IoCompletion{req, submit_time, sim_.now()});
   maybe_enter_pending_slumber();
@@ -436,15 +331,15 @@ SsdDevice::DestageCtx* SsdDevice::alloc_destage_ctx() {
   return ctx;
 }
 
-void SsdDevice::enqueue_destage_flat(std::uint64_t first_lpn, std::uint32_t units) {
+void SsdDevice::enqueue_destage(std::uint64_t first_lpn, std::uint32_t units) {
   destage_runs_.push(first_lpn, units);
   buffered_.add(first_lpn, units);
   last_enqueue_ = sim_.now();
-  maybe_destage_flat(/*force_partial=*/false);
+  maybe_destage(/*force_partial=*/false);
   if (!destage_runs_.empty()) arm_destage_timer();
 }
 
-void SsdDevice::maybe_destage_flat(bool force_partial) {
+void SsdDevice::maybe_destage(bool force_partial) {
   const std::uint32_t stripe = ftl_->units_per_stripe();
   // Batched flushing: wait for a batch worth of buffered data, then drain
   // the fifo completely before pausing (see SsdConfig::destage_batch_bytes).
@@ -480,64 +375,13 @@ void SsdDevice::destage_done(DestageCtx* ctx) {
   maybe_enter_pending_slumber();
 }
 
-void SsdDevice::enqueue_destage(std::uint64_t first_lpn, std::uint32_t units) {
-  for (std::uint32_t u = 0; u < units; ++u) {
-    destage_fifo_.push_back(first_lpn + u);
-    ++buffered_counts_[first_lpn + u];
-  }
-  last_enqueue_ = sim_.now();
-  maybe_destage(/*force_partial=*/false);
-  if (!destage_fifo_.empty()) arm_destage_timer();
-}
-
-void SsdDevice::maybe_destage(bool force_partial) {
-  if (flat_) {
-    maybe_destage_flat(force_partial);
-  } else {
-    maybe_destage_legacy(force_partial);
-  }
-}
-
-void SsdDevice::maybe_destage_legacy(bool force_partial) {
-  const std::uint32_t stripe = ftl_->units_per_stripe();
-  // Batched flushing: wait for a batch worth of buffered data, then drain
-  // the fifo completely before pausing (see SsdConfig::destage_batch_bytes).
-  if (force_partial) draining_ = true;
-  if (!draining_) {
-    const std::uint64_t batch_units = config_.destage_batch_bytes / config_.sector_bytes;
-    if (destage_fifo_.size() < std::max<std::uint64_t>(batch_units, stripe)) return;
-    draining_ = true;
-  }
-  while (destage_fifo_.size() >= stripe || (force_partial && !destage_fifo_.empty())) {
-    const std::size_t n = std::min<std::size_t>(stripe, destage_fifo_.size());
-    std::vector<std::uint64_t> lpns(destage_fifo_.begin(),
-                                    destage_fifo_.begin() + static_cast<std::ptrdiff_t>(n));
-    destage_fifo_.erase(destage_fifo_.begin(),
-                        destage_fifo_.begin() + static_cast<std::ptrdiff_t>(n));
-    ++inflight_programs_;
-    const std::uint64_t bytes = n * config_.sector_bytes;
-    ftl_->write_units(lpns, [this, lpns, bytes] {
-      --inflight_programs_;
-      for (const std::uint64_t lpn : lpns) {
-        auto it = buffered_counts_.find(lpn);
-        PAS_CHECK(it != buffered_counts_.end());
-        if (--it->second == 0) buffered_counts_.erase(it);
-      }
-      release_buffer(bytes);
-      check_flush_waiters();
-      maybe_enter_pending_slumber();
-    });
-  }
-  if (destage_fifo_.size() < stripe) draining_ = false;  // batch drained
-}
-
 void SsdDevice::arm_destage_timer() {
   if (destage_timer_armed_) return;
   destage_timer_armed_ = true;
   const TimeNs timeout = config_.destage_idle_timeout;
   sim_.schedule_after(timeout, [this, timeout] {
     destage_timer_armed_ = false;
-    if (destage_queue_empty()) return;
+    if (destage_runs_.empty()) return;
     if (sim_.now() - last_enqueue_ >= timeout) {
       maybe_destage(/*force_partial=*/true);
     } else {
@@ -547,7 +391,7 @@ void SsdDevice::arm_destage_timer() {
 }
 
 void SsdDevice::check_flush_waiters() {
-  if (!destage_queue_empty() || inflight_programs_ != 0) return;
+  if (!destage_runs_.empty() || inflight_programs_ != 0) return;
   auto waiters = std::move(flush_waiters_);
   flush_waiters_.clear();
   for (auto& w : waiters) w();
@@ -664,7 +508,7 @@ void SsdDevice::maybe_enter_pending_slumber() {
 }
 
 bool SsdDevice::device_idle() const {
-  return host_inflight_ == 0 && destage_queue_empty() && inflight_programs_ == 0 &&
+  return host_inflight_ == 0 && destage_runs_.empty() && inflight_programs_ == 0 &&
          ftl_->quiescent() && nand_.outstanding() == 0;
 }
 

@@ -19,7 +19,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
@@ -35,10 +34,6 @@
 #include "ssd/ftl.h"
 #include "ssd/governor.h"
 #include "ssd/runs.h"
-
-// Feature macro for dual-build A/B tooling (bench_micro_ssd compiles its
-// flat-path cases only when the tree has the flat datapath).
-#define PAS_SSD_FLAT_PATH 1
 
 namespace pas::ssd {
 
@@ -99,10 +94,10 @@ class SsdDevice : public sim::BlockDevice, public sim::PowerManageable {
  private:
   enum class AlpmState : std::uint8_t { kActive, kEntering, kSlumber, kExiting };
 
-  // Flat datapath: one pooled context per host IO. Stage continuations
-  // capture {this, ctx} — 16 bytes, always inline in the kernel's event slot
-  // — so a steady-state IO allocates nothing; contexts and their run vectors
-  // recycle through a free list sized by the peak queue depth.
+  // One pooled context per host IO. Stage continuations capture {this, ctx}
+  // — 16 bytes, always inline in the kernel's event slot — so a steady-state
+  // IO allocates nothing; contexts and their run vectors recycle through a
+  // free list sized by the peak queue depth.
   enum class IoStage : std::uint8_t {
     kWriteStart, kWriteCoreHeld, kWriteCoreDone, kWriteBuffered, kWriteLinkHeld,
     kWriteXferDone,
@@ -140,26 +135,14 @@ class SsdDevice : public sim::BlockDevice, public sim::PowerManageable {
   void advance(IoContext* ctx);
   void io_complete(IoContext* ctx);
   DestageCtx* alloc_destage_ctx();
-  void enqueue_destage_flat(std::uint64_t first_lpn, std::uint32_t units);
-  void maybe_destage_flat(bool force_partial);
-  void destage_done(DestageCtx* ctx);
-
-  // Legacy datapath (per-IO closure chains; reference for A/B comparison).
-  void start_write(sim::IoRequest req, sim::IoCallback done, TimeNs submit_time);
-  void start_read(sim::IoRequest req, sim::IoCallback done, TimeNs submit_time);
-  void start_flush(sim::IoRequest req, sim::IoCallback done, TimeNs submit_time);
-  void complete(const sim::IoRequest& req, TimeNs submit_time, const sim::IoCallback& done);
   void enqueue_destage(std::uint64_t first_lpn, std::uint32_t units);
-  void maybe_destage_legacy(bool force_partial);
+  void maybe_destage(bool force_partial);
+  void destage_done(DestageCtx* ctx);
 
   void reserve_buffer(std::uint64_t bytes, sim::UniqueCallback granted);
   void release_buffer(std::uint64_t bytes);
-  void maybe_destage(bool force_partial);
   void arm_destage_timer();
   void check_flush_waiters();
-  bool destage_queue_empty() const {
-    return flat_ ? destage_runs_.empty() : destage_fifo_.empty();
-  }
 
   void issue_nand(nand::NandOp op);
   void submit_parked(ParkedOp* slot);
@@ -194,9 +177,7 @@ class SsdDevice : public sim::BlockDevice, public sim::PowerManageable {
   sim::ResourcePool cores_;
   sim::SerialResource link_;
 
-  const bool flat_;  // config_.flat_datapath, latched at construction
-
-  // IO / destage context pools (flat path). Deques give stable addresses;
+  // IO / destage context pools. Deques give stable addresses;
   // slots recycle through intrusive free lists.
   std::deque<IoContext> io_ctx_;
   IoContext* io_ctx_free_ = nullptr;
@@ -209,10 +190,8 @@ class SsdDevice : public sim::BlockDevice, public sim::PowerManageable {
   // Write buffer.
   std::uint64_t buffer_used_ = 0;
   sim::RingQueue<std::pair<std::uint64_t, sim::UniqueCallback>> buffer_waiters_;
-  RunFifo destage_runs_;     // flat path: buffered units as coalesced runs
-  BufferedUnits buffered_;   // flat path: buffered copies per unit
-  std::deque<std::uint64_t> destage_fifo_;  // legacy: buffered lpns in arrival order
-  std::unordered_map<std::uint64_t, int> buffered_counts_;  // legacy
+  RunFifo destage_runs_;    // buffered units awaiting destage, as coalesced runs
+  BufferedUnits buffered_;  // buffered copies per unit
   int inflight_programs_ = 0;
   TimeNs last_enqueue_ = 0;
   bool destage_timer_armed_ = false;

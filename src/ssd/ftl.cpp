@@ -252,24 +252,6 @@ std::uint32_t Ftl::allocate_stripe(WriteStream& stream, bool for_gc) {
   return kNone;
 }
 
-void Ftl::write_units(std::vector<std::uint64_t> lpns, sim::UniqueCallback done) {
-  PAS_CHECK(!lpns.empty());
-  // Compress the unit list to runs and share the run-based path: a run
-  // expands back to the identical unit sequence, so mapping updates and the
-  // issued program are unchanged.
-  runs_scratch_.clear();
-  for (const std::uint64_t lpn : lpns) {
-    if (!runs_scratch_.empty() &&
-        runs_scratch_.back().first + runs_scratch_.back().len == lpn) {
-      ++runs_scratch_.back().len;
-    } else {
-      runs_scratch_.push_back(Run{lpn, 1});
-    }
-  }
-  write_runs(runs_scratch_.data(), runs_scratch_.size(),
-             static_cast<std::uint32_t>(lpns.size()), std::move(done));
-}
-
 void Ftl::write_runs(const Run* runs, std::size_t nruns, std::uint32_t units,
                      sim::UniqueCallback done) {
   PAS_CHECK(nruns > 0);
@@ -408,15 +390,6 @@ void Ftl::issue_page_reads(sim::UniqueCallback done) {
     }
     issue_(std::move(op));
   }
-}
-
-void Ftl::read_units(const std::vector<std::uint64_t>& lpns, sim::UniqueCallback done) {
-  PAS_CHECK(!lpns.empty());
-  PAS_CHECK(done != nullptr);
-  ensure_tables();
-  pages_scratch_.clear();
-  for (const std::uint64_t lpn : lpns) add_read_unit(lpn);
-  issue_page_reads(std::move(done));
 }
 
 void Ftl::read_runs(const Run* runs, std::size_t nruns, sim::UniqueCallback done) {

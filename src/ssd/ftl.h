@@ -54,21 +54,17 @@ class Ftl {
 
   Ftl(const SsdConfig& config, IssueNand issue, Defer defer, Rng rng);
 
-  // Programs up to one stripe's worth of mapping units for the host.
-  // Updates the map at issue time; `done` fires when the program completes.
-  // May stall internally when free space requires GC first.
-  void write_units(std::vector<std::uint64_t> lpns, sim::UniqueCallback done);
-
-  // Reads the given mapping units; coalesces units sharing a physical page
-  // into one NAND read. `done` fires when all page reads complete.
-  void read_units(const std::vector<std::uint64_t>& lpns, sim::UniqueCallback done);
-
-  // Run-based forms used by the flat datapath: identical mapping and op-issue
-  // sequence to the lpn-vector forms (a run expands to its units in order),
-  // without materializing a per-unit vector per IO. `runs` only needs to stay
+  // Programs up to one stripe's worth of mapping units for the host: the
+  // `units` units of `runs`, each run expanded to its units in order (a unit
+  // may repeat; its last copy is the live one). Maps the units when it sends
+  // the program to NAND; `done` fires when the program completes. May stall
+  // internally when free space requires GC first. `runs` only needs to stay
   // alive for the duration of the call.
   void write_runs(const Run* runs, std::size_t nruns, std::uint32_t units,
                   sim::UniqueCallback done);
+
+  // Reads the units of `runs`; coalesces units sharing a physical page into
+  // one NAND read. `done` fires when all page reads complete.
   void read_runs(const Run* runs, std::size_t nruns, sim::UniqueCallback done);
 
   // Instantly maps the whole logical space sequentially (no simulated time):
@@ -267,9 +263,8 @@ class Ftl {
   std::vector<StalledWrite> stalled_spare_;
   std::vector<std::vector<MovePair>> gc_vec_pool_;
 
-  // Reused scratch buffers (capacity persists across IOs: steady-state reads
-  // and writes build their page/run lists without allocating).
-  std::vector<Run> runs_scratch_;
+  // Reused scratch buffer (capacity persists across IOs: steady-state reads
+  // build their page lists without allocating).
   std::vector<PageRef> pages_scratch_;
 
   struct FanIn {

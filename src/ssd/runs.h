@@ -1,16 +1,15 @@
 // Structures for the SSD write-buffer bookkeeping.
 //
-// The legacy datapath tracked buffered data one 4 KiB mapping unit at a
-// time in a hash map: a 256 KiB host write performed 64 inserts on
-// admission, 64 erases on destage completion, and reads probed the map once
-// per unit. The flat datapath keeps the destage order as runs (RunFifo: one
-// append per host write) and buffer occupancy in a per-unit bitmap
-// (BufferedUnits: one OR per 64 units). An ordered map of equal-count spans
-// would also take one operation per run, but each would be two cache-cold
-// red-black-tree descents plus splits and merges, and a rand 4 KiB QD1 run
-// keeps up to 16 384 disjoint spans in a 64 MiB buffer; the bitmap answers
-// the same questions with a word OR, AND or scan at an address computed
-// from the unit.
+// The device keeps the destage order as runs (RunFifo: one append per host
+// write) and buffer occupancy in a per-unit bitmap (BufferedUnits: one OR
+// per 64 units). A hash map keyed by 4 KiB mapping unit would cost 64
+// inserts on admission and 64 erases on destage per 256 KiB write, and a
+// probe per unit per read. An ordered map of equal-count spans would take
+// one operation per run, but each would be two cache-cold red-black-tree
+// descents plus splits and merges, and a rand 4 KiB QD1 run keeps up to
+// 16 384 disjoint spans in a 64 MiB buffer; the bitmap answers the same
+// questions with a word OR, AND or scan at an address computed from the
+// unit.
 #pragma once
 
 #include <algorithm>
@@ -32,9 +31,9 @@ struct Run {
 };
 
 // FIFO of buffered logical units awaiting destage, stored as coalesced runs.
-// Expanding the runs in order reproduces the exact per-unit arrival sequence
-// the legacy deque held, so stripe assembly (pop_units) hands the FTL the
-// same lpn sequence the legacy path did — including duplicate lpns from
+// Expanding the runs in order reproduces the exact per-unit arrival
+// sequence, so stripe assembly (pop_units) hands the FTL the same lpn
+// sequence a per-unit queue would — including duplicate lpns from
 // overlapping writes, which never coalesce (a merge requires strict
 // first+len == next contiguity).
 class RunFifo {

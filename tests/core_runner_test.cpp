@@ -3,7 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <climits>
+#include <cstdint>
+#include <cstring>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/cell_spec.h"
 
@@ -173,6 +178,58 @@ TEST(Runner, ByteLimitedCellStillGetsFloor) {
 }
 
 TEST(Runner, DefaultJobsIsPositive) { EXPECT_GE(default_jobs(), 1); }
+
+// The shared bench command line, parsed from `args` (program name first).
+BenchCli parse(std::vector<std::string> args) {
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  return parse_bench_cli(static_cast<int>(argv.size()), argv.data());
+}
+
+// A regex matching an error message that names `flag` and quotes `value`.
+std::string names(const char* flag, const char* value) {
+  std::string re = std::string(flag) + " .*'";
+  for (const char* c = value; *c != '\0'; ++c) {
+    if (std::strchr(".+*?()[]{}|^$\\", *c) != nullptr) re += '\\';
+    re += *c;
+  }
+  return re + "'";
+}
+
+// Every malformed number exits 2 with a message naming the flag and the
+// value, instead of running with a silently altered one. Each case first
+// checks the well-formed values just inside the boundary.
+TEST(BenchCliDeathTest, NonFiniteOrNonPositiveScaleIsNamed) {
+  EXPECT_EQ(parse({"bench", "--scale", "0.5"}).experiment.io_limit_scale, 0.5);
+  EXPECT_EQ(parse({"bench", "--scale=1e-3"}).experiment.io_limit_scale, 1e-3);
+  for (const char* v : {"nan", "-nan", "inf", "1e999", "0", "-1", "0.5x"}) {
+    SCOPED_TRACE(v);
+    EXPECT_EXIT(parse({"bench", "--scale", v}), ::testing::ExitedWithCode(2),
+                names("--scale", v));
+  }
+}
+
+TEST(BenchCliDeathTest, NegativeOrOverflowingSeedIsNamed) {
+  EXPECT_EQ(parse({"bench", "--seed", "18446744073709551615"}).experiment.seed, UINT64_MAX);
+  EXPECT_EQ(parse({"bench", "--seed=0"}).experiment.seed, 0u);
+  for (const char* v : {"-1", "18446744073709551616", "99999999999999999999999", "+1",
+                        " 1", "12x", "1.5"}) {
+    SCOPED_TRACE(v);
+    EXPECT_EXIT(parse({"bench", "--seed", v}), ::testing::ExitedWithCode(2),
+                names("--seed", v));
+  }
+}
+
+TEST(BenchCliDeathTest, FractionalNegativeOrHugeJobsIsNamed) {
+  EXPECT_EQ(parse({"bench", "--jobs", "0"}).jobs, 0);  // 0 keeps meaning "default"
+  EXPECT_EQ(parse({"bench", "--jobs=3"}).jobs, 3);
+  EXPECT_EQ(parse({"bench", "--jobs", "2147483647"}).jobs, INT_MAX);
+  for (const char* v : {"2.9", "1e12", "-1", "2147483648", "4x"}) {
+    SCOPED_TRACE(v);
+    EXPECT_EXIT(parse({"bench", "--jobs", v}), ::testing::ExitedWithCode(2),
+                names("--jobs", v));
+  }
+}
 
 }  // namespace
 }  // namespace pas::core

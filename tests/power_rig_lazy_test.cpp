@@ -1,12 +1,11 @@
 // Bit-identity matrix for segment-lazy rig sampling (DESIGN.md section 13):
-// a lazy rig and a per-tick reference rig (config.event_driven) observe the
-// SAME power schedule from twin simulators and must emit byte-identical
-// samples in every retention mode (trace, sample sink, streaming-only),
-// integrating and instantaneous, calibrated and not, at 1 kHz and the
-// decimated 100 Hz — including when the lazy trace is read mid-run.
+// a lazy rig and a per-tick reference sampler observe the SAME power
+// schedule from twin simulators and must emit byte-identical samples in
+// every retention mode (trace, sample sink, streaming-only), integrating and
+// instantaneous, calibrated and not, at 1 kHz and the decimated 100 Hz —
+// including when the lazy trace is read mid-run.
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -15,6 +14,7 @@
 #include "core/testbed.h"
 #include "fake_device.h"
 #include "power/rig.h"
+#include "power/streaming.h"
 #include "sim/simulator.h"
 
 namespace pas::power {
@@ -40,6 +40,48 @@ struct Column {
     for (const auto& [t, w] : plan) {
       sim.schedule_at(t, [this, w = w] { dev.set_power(w); });
     }
+  }
+};
+
+// The per-tick reference sampler, built from public API: one kernel event
+// per ADC tick reads the device's exact energy counter (integrating) or its
+// instantaneous power, and measure_once on the column's rig — a twin that is
+// never started — converts the reading. The twin shares the lazy rig's
+// seed, so it draws the same chain constants and then the same noise stream,
+// one sample per tick. Every sample lands in `sunk`, in tick order.
+struct ReferenceColumn : Column {
+  sim::PeriodicTask task;
+  Joules last_energy = 0.0;
+  TimeNs last_t = 0;
+
+  ReferenceColumn(RigConfig rc, std::uint64_t seed)
+      : Column(rc, seed), task(sim, rc.sample_period, [this] { tick(); }) {}
+
+  void start() {
+    last_energy = dev.consumed_energy();
+    last_t = sim.now();
+    task.start();
+  }
+  void stop() { task.stop(); }
+
+  void tick() {
+    const TimeNs now = sim.now();
+    Watts true_power;
+    if (rig.config().integrating) {
+      const Joules energy = dev.consumed_energy();
+      true_power = (energy - last_energy) / to_seconds(now - last_t);
+      last_energy = energy;
+      last_t = now;
+    } else {
+      true_power = dev.instantaneous_power();
+    }
+    sunk.emplace_back(now, rig.measure_once(true_power));
+  }
+
+  PowerTrace trace() const {
+    PowerTrace t;
+    for (const auto& [at, w] : sunk) t.add(at, w);
+    return t;
   }
 };
 
@@ -71,39 +113,36 @@ void run_matrix_case(Retention retention, bool integrating, bool calibrated,
   rc.integrating = integrating;
   rc.calibrated = calibrated;
   rc.sample_period = period;
-  RigConfig ref_rc = rc;
-  ref_rc.event_driven = true;
 
   const std::uint64_t seed = 42;
   Column lazy(rc, seed);
-  Column ref(ref_rc, seed);
+  ReferenceColumn ref(rc, seed);
   const auto plan = off_grid_plan();
   lazy.schedule(plan);
   ref.schedule(plan);
 
-  for (Column* c : {&lazy, &ref}) {
-    if (retention == Retention::kSink) {
-      c->rig.set_sample_sink([c](TimeNs t, Watts w) { c->sunk.emplace_back(t, w); });
-    } else if (retention == Retention::kStreaming) {
-      c->rig.enable_streaming(milliseconds(50));
-    }
-    c->rig.start();
+  if (retention == Retention::kSink) {
+    lazy.rig.set_sample_sink([&lazy](TimeNs t, Watts w) { lazy.sunk.emplace_back(t, w); });
+  } else if (retention == Retention::kStreaming) {
+    lazy.rig.enable_streaming(milliseconds(50));
   }
+  lazy.rig.start();
+  ref.start();
 
   lazy.sim.run_until(milliseconds(60));
   ref.sim.run_until(milliseconds(60));
   if (read_mid_run && retention == Retention::kTrace) {
     // Mid-run reads materialize; they must not perturb later samples.
-    ASSERT_EQ(lazy.rig.trace().size(), ref.rig.trace().size());
+    ASSERT_EQ(lazy.rig.trace().size(), ref.sunk.size());
   }
   lazy.sim.run_until(milliseconds(150));
   ref.sim.run_until(milliseconds(150));
   lazy.rig.stop();
-  ref.rig.stop();
+  ref.stop();
 
   switch (retention) {
     case Retention::kTrace:
-      expect_identical_traces(lazy.rig.trace(), ref.rig.trace());
+      expect_identical_traces(lazy.rig.trace(), ref.trace());
       ASSERT_GT(lazy.rig.trace().size(), 0u);
       break;
     case Retention::kSink: {
@@ -116,8 +155,10 @@ void run_matrix_case(Retention retention, bool integrating, bool calibrated,
       break;
     }
     case Retention::kStreaming: {
+      StreamingTraceStats ref_stats(milliseconds(50));
+      for (const auto& [t, w] : ref.sunk) ref_stats.add(t, w);
       const TraceSummary a = lazy.rig.take_streaming_summary();
-      const TraceSummary b = ref.rig.take_streaming_summary();
+      const TraceSummary b = ref_stats.summary();
       ASSERT_EQ(a.count, b.count);
       ASSERT_GT(a.count, 0u);
       ASSERT_EQ(a.min_w, b.min_w);
@@ -155,10 +196,8 @@ TEST(SegmentLazyMatrix, AllModesBitIdentical) {
 // tick is taken under the closing or the opening segment.
 TEST(SegmentLazyMatrix, IntegratingImmuneToOnGridChanges) {
   RigConfig rc;  // integrating by default
-  RigConfig ref_rc = rc;
-  ref_rc.event_driven = true;
   Column lazy(rc, 7);
-  Column ref(ref_rc, 7);
+  ReferenceColumn ref(rc, 7);
   const std::vector<std::pair<TimeNs, Watts>> plan = {
       {milliseconds(3), 4.0},   // exactly on a tick
       {milliseconds(10), 9.0},  // exactly on a tick
@@ -168,16 +207,16 @@ TEST(SegmentLazyMatrix, IntegratingImmuneToOnGridChanges) {
   lazy.schedule(plan);
   ref.schedule(plan);
   lazy.rig.start();
-  ref.rig.start();
+  ref.start();
   lazy.sim.run_until(milliseconds(25));
   ref.sim.run_until(milliseconds(25));
   lazy.rig.stop();
-  ref.rig.stop();
-  expect_identical_traces(lazy.rig.trace(), ref.rig.trace());
+  ref.stop();
+  expect_identical_traces(lazy.rig.trace(), ref.trace());
 }
 
 // A tick landing exactly on the stop instant belongs to the run — exactly as
-// the reference sampler's PeriodicTask fires it before control returns.
+// the reference sampler's tick event fires before control returns.
 TEST(SegmentLazyMatrix, TickAtStopInstantIncluded) {
   Column lazy(RigConfig{}, 3);
   lazy.rig.start();
@@ -190,23 +229,27 @@ TEST(SegmentLazyMatrix, TickAtStopInstantIncluded) {
 // Restarting after a stop must not re-deliver or skip ticks.
 TEST(SegmentLazyMatrix, StopRestartMatchesReference) {
   RigConfig rc;
-  RigConfig ref_rc = rc;
-  ref_rc.event_driven = true;
   Column lazy(rc, 11);
-  Column ref(ref_rc, 11);
+  ReferenceColumn ref(rc, 11);
   const auto plan = off_grid_plan();
   lazy.schedule(plan);
   ref.schedule(plan);
-  for (Column* c : {&lazy, &ref}) {
-    c->rig.start();
-    c->sim.run_until(microseconds(20500));
-    c->rig.stop();
-    c->sim.run_until(microseconds(70300));
-    c->rig.start();
-    c->sim.run_until(milliseconds(150));
-    c->rig.stop();
-  }
-  expect_identical_traces(lazy.rig.trace(), ref.rig.trace());
+  lazy.rig.start();
+  lazy.sim.run_until(microseconds(20500));
+  lazy.rig.stop();
+  lazy.sim.run_until(microseconds(70300));
+  lazy.rig.start();
+  lazy.sim.run_until(milliseconds(150));
+  lazy.rig.stop();
+  ref.start();
+  ref.sim.run_until(microseconds(20500));
+  ref.stop();
+  ref.sim.run_until(microseconds(70300));
+  ref.start();
+  ref.sim.run_until(milliseconds(150));
+  ref.stop();
+  expect_identical_traces(lazy.rig.trace(), ref.trace());
+  ASSERT_GT(ref.sunk.size(), 0u);
 }
 
 // The set_sample_period lifetime precondition holds across EVERY retention

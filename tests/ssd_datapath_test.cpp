@@ -1,4 +1,4 @@
-// Regression tests for the flat SSD datapath: pooled IO contexts, the GC
+// Regression tests for the SSD datapath: pooled IO contexts, the GC
 // victim index, flush/destage ordering, and write-buffer waiter fairness.
 #include <gtest/gtest.h>
 
@@ -60,10 +60,8 @@ TEST(SsdDatapath, GcVictimIndexMatchesLinearScan) {
   int checked = 0;
   for (int round = 0; round < 400; ++round) {
     // Random overwrite of one stripe's worth of units at a random offset.
-    std::vector<std::uint64_t> lpns;
-    const std::uint64_t base = rng.next_below(total - stripe);
-    for (std::uint32_t u = 0; u < stripe; ++u) lpns.push_back(base + u);
-    h.ftl.write_units(lpns, [] {});
+    const ssd::Run run{rng.next_below(total - stripe), stripe};
+    h.ftl.write_runs(&run, 1, stripe, [] {});
     // Step the simulator a few events so writes, GC moves, and erases
     // interleave (rather than always comparing on a quiesced drive).
     for (int s = 0; s < 3; ++s) h.sim.step();
@@ -90,9 +88,7 @@ TEST(SsdDatapath, VictimHooksReturnNoVictimBeforeFirstIo) {
 // context returns to the free list once the device drains.
 TEST(SsdDatapath, IoContextPoolGrowsToQueueDepthAndRecycles) {
   sim::Simulator sim;
-  auto cfg = ssd2_p5510();
-  ASSERT_TRUE(cfg.flat_datapath);
-  SsdDevice dev(sim, cfg, 1);
+  SsdDevice dev(sim, ssd2_p5510(), 1);
 
   auto burst = [&](int depth) {
     int done = 0;
@@ -135,11 +131,9 @@ TEST(SsdDatapath, IoContextPoolExhaustionAllocatesNewSlots) {
 // A flush behind a partial-stripe write must force a partial destage and
 // complete only once the buffered data is programmed to NAND — observed at
 // the flush callback itself, not after the simulator settles.
-void flush_forces_partial_destage(bool flat) {
+TEST(SsdDatapath, FlushForcesPartialDestageFlat) {
   sim::Simulator sim;
-  auto cfg = ssd2_p5510();
-  cfg.flat_datapath = flat;
-  SsdDevice dev(sim, cfg, 1);
+  SsdDevice dev(sim, ssd2_p5510(), 1);
   bool write_done = false;
   bool flush_done = false;
   std::uint64_t buffered_at_flush = ~0ull;
@@ -161,9 +155,6 @@ void flush_forces_partial_destage(bool flat) {
   EXPECT_TRUE(dev.device_idle());
 }
 
-TEST(SsdDatapath, FlushForcesPartialDestageFlat) { flush_forces_partial_destage(true); }
-TEST(SsdDatapath, FlushForcesPartialDestageLegacy) { flush_forces_partial_destage(false); }
-
 // Write-buffer admission is strictly FIFO: once any write waits for buffer
 // space, a later smaller write that would fit must queue behind it rather
 // than overtake (reserve_buffer's fast path requires an empty waiter queue).
@@ -173,10 +164,9 @@ TEST(SsdDatapath, FlushForcesPartialDestageLegacy) { flush_forces_partial_destag
 // ~t_program apart, opening long windows where the small write fits but the
 // large one ahead of it does not; and every IO is under one DMA segment, so
 // the post-link completion overhead is the same constant for all of them.
-void buffer_waiters_fifo(bool flat) {
+TEST(SsdDatapath, BufferWaitersAreFifoFlat) {
   sim::Simulator sim;
   auto cfg = ssd2_p5510();
-  cfg.flat_datapath = flat;
   cfg.capacity_bytes = 16 * MiB;
   cfg.nand.channels = 1;
   cfg.nand.dies_per_channel = 1;
@@ -206,16 +196,11 @@ void buffer_waiters_fifo(bool flat) {
   EXPECT_GE(dev.stats().buffer_stall_events, 2u);
 }
 
-TEST(SsdDatapath, BufferWaitersAreFifoFlat) { buffer_waiters_fifo(true); }
-TEST(SsdDatapath, BufferWaitersAreFifoLegacy) { buffer_waiters_fifo(false); }
-
 // Reads that straddle buffered and unbuffered ranges must route exactly the
-// unbuffered part to NAND on both datapaths.
-void read_splits_buffer_hit(bool flat) {
+// unbuffered part to NAND.
+TEST(SsdDatapath, ReadSplitsBufferHitFlat) {
   sim::Simulator sim;
-  auto cfg = ssd2_p5510();
-  cfg.flat_datapath = flat;
-  SsdDevice dev(sim, cfg, 1);
+  SsdDevice dev(sim, ssd2_p5510(), 1);
   const std::uint64_t reads_before = dev.ftl_stats().nand_page_reads;
   TimeNs read_latency = -1;
   // Buffer 16 KiB at offset 0, then read 32 KiB spanning the buffered prefix
@@ -230,9 +215,6 @@ void read_splits_buffer_hit(bool flat) {
   EXPECT_GT(read_latency, dev.config().nand.t_read);
   EXPECT_GT(dev.ftl_stats().nand_page_reads, reads_before);
 }
-
-TEST(SsdDatapath, ReadSplitsBufferHitFlat) { read_splits_buffer_hit(true); }
-TEST(SsdDatapath, ReadSplitsBufferHitLegacy) { read_splits_buffer_hit(false); }
 
 }  // namespace
 }  // namespace pas::ssd

@@ -27,6 +27,20 @@ SsdConfig small_config() {
   return c;
 }
 
+// The lpn list as runs. Only strictly consecutive lpns coalesce, so the runs
+// expand back to the identical unit sequence, repeats included.
+std::vector<Run> to_runs(const std::vector<std::uint64_t>& lpns) {
+  std::vector<Run> runs;
+  for (const std::uint64_t lpn : lpns) {
+    if (!runs.empty() && runs.back().first + runs.back().len == lpn) {
+      ++runs.back().len;
+    } else {
+      runs.push_back(Run{lpn, 1});
+    }
+  }
+  return runs;
+}
+
 // Test harness: completes NAND ops asynchronously after a fixed delay and
 // counts them by kind. Every scenario ends with the FTL audit, which the
 // destructor runs.
@@ -54,9 +68,22 @@ struct FtlHarness {
 
   ~FtlHarness() { EXPECT_EQ(ftl.audit(), ""); }
 
+  // Programs the given lpns, in order, as one stripe.
+  void write_lpns(const std::vector<std::uint64_t>& lpns, sim::UniqueCallback done) {
+    const std::vector<Run> runs = to_runs(lpns);
+    ftl.write_runs(runs.data(), runs.size(), static_cast<std::uint32_t>(lpns.size()),
+                   std::move(done));
+  }
+
+  // Reads the given lpns.
+  void read_lpns(const std::vector<std::uint64_t>& lpns, sim::UniqueCallback done) {
+    const std::vector<Run> runs = to_runs(lpns);
+    ftl.read_runs(runs.data(), runs.size(), std::move(done));
+  }
+
   // Writes one stripe of the given lpns and lets it (and any GC) finish.
-  void write(std::vector<std::uint64_t> lpns) {
-    ftl.write_units(std::move(lpns), [] {});
+  void write(const std::vector<std::uint64_t>& lpns) {
+    write_lpns(lpns, [] {});
     sim.run_to_completion();
   }
 
@@ -66,7 +93,7 @@ struct FtlHarness {
     for (int s = 0; s < stripes; ++s) {
       std::vector<std::uint64_t> lpns;
       for (std::uint32_t u = 0; u < per; ++u) lpns.push_back(first + s * per + u);
-      ftl.write_units(lpns, [] {});
+      write_lpns(lpns, [] {});
     }
     sim.run_to_completion();
   }
@@ -92,7 +119,7 @@ TEST(Ftl, WriteMapsUnits) {
 TEST(Ftl, WriteCallbackFiresAfterProgram) {
   FtlHarness h;
   bool done = false;
-  h.ftl.write_units({0, 1, 2}, [&] { done = true; });
+  h.write_lpns({0, 1, 2}, [&] { done = true; });
   EXPECT_FALSE(done);
   h.sim.run_to_completion();
   EXPECT_TRUE(done);
@@ -100,7 +127,7 @@ TEST(Ftl, WriteCallbackFiresAfterProgram) {
 
 TEST(Ftl, PartialStripeAllowed) {
   FtlHarness h;
-  h.ftl.write_units({42}, [] {});
+  h.write_lpns({42}, [] {});
   h.sim.run_to_completion();
   EXPECT_TRUE(h.ftl.is_mapped(42));
   EXPECT_EQ(h.ftl.stats().host_units_written, 1u);
@@ -109,7 +136,7 @@ TEST(Ftl, PartialStripeAllowed) {
 TEST(Ftl, OversizeStripeAborts) {
   FtlHarness h;
   std::vector<std::uint64_t> lpns(h.ftl.units_per_stripe() + 1, 0);
-  EXPECT_DEATH(h.ftl.write_units(lpns, [] {}), "");
+  EXPECT_DEATH(h.write_lpns(lpns, [] {}), "");
 }
 
 TEST(Ftl, ReadCoalescesByPhysicalPage) {
@@ -117,7 +144,7 @@ TEST(Ftl, ReadCoalescesByPhysicalPage) {
   h.write_stripes(0, 1);  // lpns 0..7 in one stripe = 2 physical pages
   h.reads = 0;
   bool done = false;
-  h.ftl.read_units({0, 1, 2, 3}, [&] { done = true; });  // all in page 0
+  h.read_lpns({0, 1, 2, 3}, [&] { done = true; });  // all in page 0
   h.sim.run_to_completion();
   EXPECT_TRUE(done);
   EXPECT_EQ(h.reads, 1);
@@ -127,7 +154,7 @@ TEST(Ftl, ReadSpanningPagesIssuesMultiple) {
   FtlHarness h;
   h.write_stripes(0, 1);
   h.reads = 0;
-  h.ftl.read_units({0, 1, 2, 3, 4, 5, 6, 7}, [] {});
+  h.read_lpns({0, 1, 2, 3, 4, 5, 6, 7}, [] {});
   h.sim.run_to_completion();
   EXPECT_EQ(h.reads, 2);  // two 16 KiB pages in the stripe
 }
@@ -135,7 +162,7 @@ TEST(Ftl, ReadSpanningPagesIssuesMultiple) {
 TEST(Ftl, UnmappedReadHitsPseudoMedia) {
   FtlHarness h;
   bool done = false;
-  h.ftl.read_units({100}, [&] { done = true; });
+  h.read_lpns({100}, [&] { done = true; });
   h.sim.run_to_completion();
   EXPECT_TRUE(done);
   EXPECT_EQ(h.reads, 1);  // pseudo-location read
@@ -146,7 +173,7 @@ TEST(Ftl, UnmappedReadSkipsMediaWhenDisabled) {
   cfg.unmapped_read_hits_media = false;
   FtlHarness h(cfg);
   bool done = false;
-  h.ftl.read_units({100}, [&] { done = true; });
+  h.read_lpns({100}, [&] { done = true; });
   EXPECT_TRUE(done);  // synchronous completion, no NAND
   EXPECT_EQ(h.reads, 0);
 }
@@ -158,7 +185,7 @@ TEST(Ftl, OverwriteInvalidatesOldMapping) {
   EXPECT_EQ(h.ftl.stats().host_units_written, 16u);
   // Still mapped; reading them issues page reads against the new location.
   h.reads = 0;
-  h.ftl.read_units({0}, [] {});
+  h.read_lpns({0}, [] {});
   h.sim.run_to_completion();
   EXPECT_EQ(h.reads, 1);
 }
@@ -173,7 +200,7 @@ TEST(Ftl, GcTriggersUnderFreePressure) {
     for (std::uint64_t l = 0; l + per <= total; l += per) {
       std::vector<std::uint64_t> lpns;
       for (std::uint32_t u = 0; u < per; ++u) lpns.push_back(l + u);
-      h.ftl.write_units(lpns, [] {});
+      h.write_lpns(lpns, [] {});
       h.sim.run_to_completion();
     }
   }
@@ -198,7 +225,7 @@ TEST(Ftl, RandomOverwriteWorkloadKeepsMapConsistent) {
       lpns.push_back(base + u);
       written[base + u] = true;
     }
-    h.ftl.write_units(lpns, [] {});
+    h.write_lpns(lpns, [] {});
     if (i % 16 == 0) h.sim.run_to_completion();
   }
   h.sim.run_to_completion();
@@ -236,7 +263,7 @@ TEST(Ftl, PreconditionThenOverwriteTriggersGcButStaysLive) {
     std::vector<std::uint64_t> lpns;
     const std::uint64_t base = rng.next_below(total - per);
     for (std::uint32_t u = 0; u < per; ++u) lpns.push_back(base + u);
-    h.ftl.write_units(lpns, [] {});
+    h.write_lpns(lpns, [] {});
     h.sim.run_to_completion();
     ASSERT_EQ(h.ftl.audit(), "") << "stripe " << i;
   }
@@ -314,7 +341,7 @@ TEST(Ftl, OverwriteIntoTheBlockItsStripeSeals) {
 // consistent once writes land.
 TEST(Ftl, UnmappedReadsOnTablesFirstBuiltByARead) {
   FtlHarness h;
-  h.ftl.read_units({0, 1, 4095}, [] {});  // builds the tables
+  h.read_lpns({0, 1, 4095}, [] {});  // builds the tables
   h.sim.run_to_completion();
   EXPECT_EQ(h.reads, 2);  // two pseudo pages
   for (std::uint64_t l = 0; l < h.ftl.total_units(); ++l) ASSERT_FALSE(h.ftl.is_mapped(l));
@@ -322,7 +349,7 @@ TEST(Ftl, UnmappedReadsOnTablesFirstBuiltByARead) {
   ASSERT_EQ(h.ftl.audit(), "");
   h.write_stripes(0, 1);
   h.reads = 0;
-  h.ftl.read_units({0, 1, 2, 3, 4, 5, 6, 7, 8}, [] {});
+  h.read_lpns({0, 1, 2, 3, 4, 5, 6, 7, 8}, [] {});
   h.sim.run_to_completion();
   EXPECT_EQ(h.reads, 3);  // the stripe's two pages and lpn 8's pseudo page
 }
