@@ -18,10 +18,12 @@ void print_trace_ascii(const power::PowerTrace& trace, TimeNs from, TimeNs to, T
   const auto slice = trace.slice(from, to);
   if (slice.empty()) return;
   const Watts vmax = slice.max_power();
+  std::size_t first = 0;  // the slice's first sample in the trace
+  while (trace.time_at(first) < from) ++first;
   for (std::size_t i = 0; i < slice.size(); i += static_cast<std::size_t>(step / milliseconds(1))) {
-    const auto& s = slice[i];
-    std::printf("%6lld ms %6.2f W |%s\n", static_cast<long long>(s.t / milliseconds(1)),
-                s.watts, ascii_bar(s.watts, vmax, 50).c_str());
+    const Watts w = trace.watts()[first + i];
+    std::printf("%6lld ms %6.2f W |%s\n", static_cast<long long>(slice.time_at(i) / milliseconds(1)),
+                w, ascii_bar(w, vmax, 50).c_str());
   }
 }
 

@@ -19,10 +19,10 @@ void print_trace(const power::PowerTrace& trace, TimeNs step) {
   const TimeNs base = trace.start_time();
   for (std::size_t i = 0; i < trace.size();
        i += static_cast<std::size_t>(step / milliseconds(1))) {
-    const auto& s = trace[i];
+    const Watts w = trace.watts()[i];
     std::printf("%5lld ms %5.2f W |%s\n",
-                static_cast<long long>((s.t - base) / milliseconds(1)), s.watts,
-                ascii_bar(s.watts, vmax, 45).c_str());
+                static_cast<long long>((trace.time_at(i) - base) / milliseconds(1)), w,
+                ascii_bar(w, vmax, 45).c_str());
   }
 }
 
@@ -56,8 +56,7 @@ power::PowerTrace evo_transition(bool entering) {
 Table trace_table(const power::PowerTrace& trace) {
   Table t({"t ns", "watts"});
   for (std::size_t i = 0; i < trace.size(); ++i) {
-    const auto s = trace[i];
-    t.add_row({Table::fmt_int(s.t), Table::fmt(s.watts, 17)});
+    t.add_row({Table::fmt_int(trace.time_at(i)), Table::fmt(trace.watts()[i], 17)});
   }
   return t;
 }

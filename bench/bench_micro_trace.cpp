@@ -73,8 +73,8 @@ void BM_TraceSliceMeans(benchmark::State& state) {
 }
 BENCHMARK(BM_TraceSliceMeans);
 
-// Fleet summation, sample-major: the pre-SoA Testbed::fleet_trace() loop —
-// per-sample device loop, per-sample alignment re-check, per-sample append.
+// Fleet summation, sample-major: the pre-SoA fleet-trace loop — per-sample
+// device loop, per-sample alignment re-check, per-sample append.
 void BM_FleetSumSampleMajor(benchmark::State& state) {
   std::vector<power::PowerTrace> traces;
   for (std::size_t d = 0; d < kFleetDevices; ++d) {
@@ -85,13 +85,13 @@ void BM_FleetSumSampleMajor(benchmark::State& state) {
     power::PowerTrace fleet;
     fleet.reserve(first.size());
     for (std::size_t s = 0; s < first.size(); ++s) {
-      double total = first[s].watts;
+      double total = first.watts()[s];
       for (std::size_t d = 1; d < traces.size(); ++d) {
         const power::PowerTrace& t = traces[d];
-        if (t.size() != first.size() || t[s].t != first[s].t) std::abort();
-        total += t[s].watts;
+        if (t.size() != first.size() || t.time_at(s) != first.time_at(s)) std::abort();
+        total += t.watts()[s];
       }
-      fleet.add(first[s].t, total);
+      fleet.add(first.time_at(s), total);
     }
     benchmark::DoNotOptimize(fleet);
   }
@@ -100,7 +100,7 @@ void BM_FleetSumSampleMajor(benchmark::State& state) {
 }
 BENCHMARK(BM_FleetSumSampleMajor);
 
-// Fleet summation, device-major: the current Testbed::fleet_trace() shape —
+// Fleet summation, device-major: the shape of Testbed's rig drain —
 // alignment validated once per device, then one contiguous add-loop each.
 void BM_FleetSumDeviceMajor(benchmark::State& state) {
   std::vector<power::PowerTrace> traces;

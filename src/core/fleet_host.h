@@ -67,16 +67,19 @@ void merge_tenant_summaries(std::vector<TenantSummary>& into,
 void accumulate_tenant_job(std::vector<TenantSummary>& into, const iogen::JobSpec& spec,
                            const iogen::JobResult& result);
 
-// How measured power is retained between take_fleet_trace() calls.
+// When each rig's trace is drained into its shard's fleet sum. A rig only
+// ever retains its own trace; the drain sums every rig of a shard
+// device-major in one routine (Testbed::drain_rigs), so both modes yield
+// bit-identical fleet traces and differ only in memory.
 enum class TraceMode {
-  // Every rig keeps its full trace; take_fleet_trace() merges them
-  // device-major (accumulate_aligned). Memory: devices x samples.
+  // Rigs keep their traces until take_fleet_trace() drains them.
+  // Memory: devices x samples.
   kFullTraces,
-  // Rigs stream each sample into ONE per-shard fleet-sum trace at sample
-  // time (no per-device retention); take_fleet_trace() merges the K shard
-  // sums. Memory: shards x samples — at 1 000 devices on 8 shards, 125x
-  // less. The sum order matches the full-trace merge (device-major within
-  // the shard), so both modes yield bit-identical fleet traces.
+  // Every epoch boundary (the end of run_jobs/run_epoch/advance) also
+  // drains the rigs into ONE per-shard fleet-sum trace, so a rig holds at
+  // most one epoch of samples; take_fleet_trace() merges the K shard sums.
+  // Memory: shards x samples plus devices x one epoch's samples — the
+  // saving grows with the number of epochs in a phase.
   kStreamingSum,
 };
 
@@ -98,7 +101,7 @@ class FleetHost {
   // index; aborts if the pointer is not hosted here.
   virtual std::size_t index_of(const sim::BlockDevice* dev) const = 0;
   virtual void set_router(Router router) = 0;
-  // Must be selected before start_rigs(); defaults to kFullTraces.
+  // Defaults to kFullTraces.
   virtual void set_trace_mode(TraceMode mode) = 0;
 
   // --- jobs ---
@@ -143,12 +146,6 @@ class FleetHost {
   // last take (the pointwise sum over every device), and resets the
   // accumulation — phase-boundary semantics. Requires stopped rigs.
   virtual power::PowerTrace take_fleet_trace() = 0;
-
-  // take_fleet_trace() reduced to the cap-compliance summary (the merged
-  // trace is freed on return — the coordinator's per-epoch path).
-  power::TraceSummary take_fleet_summary(TimeNs window) {
-    return take_fleet_trace().analyze(window);
-  }
 };
 
 }  // namespace pas::core

@@ -25,8 +25,9 @@ double elapsed_seconds(Clock::time_point since) {
 }  // namespace
 
 int default_jobs() {
-  if (const char* env = std::getenv("PAS_JOBS")) {
-    const int n = std::atoi(env);
+  const char* env = std::getenv("PAS_JOBS");
+  if (env != nullptr && env[0] != '\0') {
+    const auto n = static_cast<int>(parse_uint_flag("pas", "PAS_JOBS", env, 0, INT_MAX));
     if (n >= 1) return n;
   }
   const unsigned hw = std::thread::hardware_concurrency();

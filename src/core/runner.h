@@ -50,6 +50,9 @@ struct RunnerOptions {
 };
 
 // hardware_concurrency, unless the PAS_JOBS environment variable overrides.
+// PAS_JOBS follows parse_uint_flag's rules (a value outside [0, INT_MAX]
+// exits 2 naming PAS_JOBS and the value); unset, empty or 0 means
+// hardware_concurrency.
 int default_jobs();
 
 class CampaignRunner {

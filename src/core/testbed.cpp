@@ -9,13 +9,7 @@ namespace pas::core {
 std::size_t Testbed::add_device(devices::DeviceId id, std::uint64_t seed) {
   devices_.push_back(
       std::make_unique<devices::DeviceBundle>(devices::make_device(sim_, id, seed)));
-  const std::size_t index = devices_.size() - 1;
-  sum_cursor_.push_back(0);
-  if (trace_mode_ == TraceMode::kStreamingSum) {
-    devices_.back()->rig->set_sample_sink(
-        [this, index](TimeNs t, Watts w) { sum_sample(index, t, w); });
-  }
-  return index;
+  return devices_.size() - 1;
 }
 
 std::size_t Testbed::index_of(const sim::BlockDevice* dev) const {
@@ -24,23 +18,6 @@ std::size_t Testbed::index_of(const sim::BlockDevice* dev) const {
   }
   PAS_CHECK_MSG(false, "device is not part of this testbed");
   return 0;
-}
-
-void Testbed::set_trace_mode(TraceMode mode) {
-  if (mode == trace_mode_) return;
-  PAS_CHECK_MSG(fleet_sum_.empty(),
-                "switch trace modes at a phase boundary (after take_fleet_trace)");
-  for (std::size_t d = 0; d < devices_.size(); ++d) {
-    power::MeasurementRig& rig = *devices_[d]->rig;
-    PAS_CHECK_MSG(!rig.running() && rig.trace().empty(),
-                  "switch trace modes while the rigs are stopped and empty");
-    if (mode == TraceMode::kStreamingSum) {
-      rig.set_sample_sink([this, d](TimeNs t, Watts w) { sum_sample(d, t, w); });
-    } else {
-      rig.set_sample_sink(nullptr);
-    }
-  }
-  trace_mode_ = mode;
 }
 
 std::size_t Testbed::add_job(const iogen::JobSpec& spec, std::size_t device_index) {
@@ -116,7 +93,24 @@ void Testbed::advance(TimeNs dt) {
 }
 
 void Testbed::materialize_rigs() {
-  for (auto& d : devices_) d->rig->materialize();
+  if (trace_mode_ == TraceMode::kStreamingSum) {
+    drain_rigs();
+  } else {
+    for (auto& d : devices_) d->rig->materialize();
+  }
+}
+
+void Testbed::drain_rigs() {
+  if (devices_.empty()) return;  // a shard of a fleet smaller than its shard count
+  power::PowerTrace sum = devices_[0]->rig->take_trace();
+  for (std::size_t d = 1; d < devices_.size(); ++d) {
+    sum.accumulate_aligned(devices_[d]->rig->take_trace());
+  }
+  if (fleet_sum_.empty()) {
+    fleet_sum_ = std::move(sum);
+  } else {
+    for (std::size_t i = 0; i < sum.size(); ++i) fleet_sum_.add(sum.time_at(i), sum.watts()[i]);
+  }
 }
 
 void Testbed::start_rigs() {
@@ -133,67 +127,10 @@ Watts Testbed::measured_power() const {
   return total;
 }
 
-power::PowerTrace Testbed::fleet_trace() {
-  PAS_CHECK(!devices_.empty());
-  if (trace_mode_ == TraceMode::kStreamingSum) {
-    // Materialize in device order so the cursor sums land left to right,
-    // then require every device to have contributed the same sample count.
-    materialize_rigs();
-    for (std::size_t d = 0; d < devices_.size(); ++d) {
-      PAS_CHECK_MSG(sum_cursor_[d] == fleet_sum_.size(),
-                    "stop the rigs before reading the fleet trace");
-    }
-    return fleet_sum_;
-  }
-  // Device-major accumulation: one copy of the first device's trace, then
-  // one contiguous add-loop per remaining device. Alignment (same sample
-  // count and timestamps) is validated once per device by
-  // accumulate_aligned — O(1) between two uniform-grid traces — instead of
-  // per sample. The per-sample sum order (device 0 + 1 + 2 + ...) matches
-  // the old sample-major loop, so the fleet trace is bit-identical.
-  power::PowerTrace fleet = devices_[0]->rig->trace();
-  for (std::size_t d = 1; d < devices_.size(); ++d) {
-    fleet.accumulate_aligned(devices_[d]->rig->trace());
-  }
-  return fleet;
-}
-
 power::PowerTrace Testbed::take_fleet_trace() {
   PAS_CHECK(!devices_.empty());
-  if (trace_mode_ == TraceMode::kStreamingSum) {
-    materialize_rigs();
-    for (std::size_t d = 0; d < devices_.size(); ++d) {
-      PAS_CHECK_MSG(sum_cursor_[d] == fleet_sum_.size(),
-                    "stop the rigs before taking the fleet trace");
-      sum_cursor_[d] = 0;
-    }
-    power::PowerTrace out = std::move(fleet_sum_);
-    fleet_sum_ = power::PowerTrace{};
-    return out;
-  }
-  // Same device-major sum as fleet_trace(), but each rig's trace is moved
-  // out (take_trace) and consumed in turn — no intermediate fleet copy.
-  // take_trace() leaves every rig holding a fresh empty trace, so the
-  // testbed stays fully reusable: rigs restart cleanly for the next phase,
-  // and taking again before any new sample lands yields an empty trace
-  // rather than stale or moved-from state.
-  power::PowerTrace fleet = devices_[0]->rig->take_trace();
-  for (std::size_t d = 1; d < devices_.size(); ++d) {
-    fleet.accumulate_aligned(devices_[d]->rig->take_trace());
-  }
-  return fleet;
-}
-
-void Testbed::sum_sample(std::size_t device, TimeNs t, Watts w) {
-  std::size_t& cursor = sum_cursor_[device];
-  if (cursor == fleet_sum_.size()) {
-    fleet_sum_.add(t, w);
-  } else {
-    PAS_CHECK_MSG(cursor < fleet_sum_.size() && fleet_sum_.time_at(cursor) == t,
-                  "per-device rig samples are misaligned; start the rigs together");
-    fleet_sum_.accumulate_at(cursor, w);
-  }
-  ++cursor;
+  drain_rigs();
+  return std::exchange(fleet_sum_, power::PowerTrace{});
 }
 
 FleetAdapter::FleetAdapter(FleetHost& host, std::vector<FleetDeviceOptions> options,

@@ -56,10 +56,8 @@ class Testbed final : public FleetHost {
 
   void set_router(Router router) override { router_ = std::move(router); }
 
-  // Selects how measured power is retained (fleet_host.h). kStreamingSum
-  // taps every rig into one fleet-sum trace via its sample sink; switch only
-  // while the rigs are stopped with no samples retained.
-  void set_trace_mode(TraceMode mode) override;
+  // Selects when the rigs are drained into the fleet sum (fleet_host.h).
+  void set_trace_mode(TraceMode mode) override { trace_mode_ = mode; }
 
   // Queues a job for the given device (or routed through the Router).
   // Returns the job index. The job's IoEngine is created on the next
@@ -95,16 +93,12 @@ class Testbed final : public FleetHost {
   void stop_rigs() override;
   // Ground-truth fleet draw right now (sum over devices).
   Watts measured_power() const override;
-  // The fleet's measured power trace: the pointwise sum of the per-device
-  // rig traces. Requires all rigs started together (one shared 1 kHz clock),
-  // so samples align; aborts on mismatched traces. Non-const: segment-lazy
-  // rigs materialize their elapsed samples into the accumulators first.
-  power::PowerTrace fleet_trace();
-  // fleet_trace(), then resets the accumulation (phase boundary). The
-  // testbed remains fully usable afterwards: every rig is left with a valid
-  // empty trace (and the fleet-sum accumulator re-armed, in kStreamingSum),
-  // so a phased scenario can restart the rigs, run the next phase, and take
-  // again. A second take with no intervening samples yields an empty trace.
+  // The fleet's measured power trace since the last take: drains every rig
+  // (drain_rigs) and hands over the fleet sum, leaving every rig and the sum
+  // empty. Requires all rigs started together (one shared ADC clock), so
+  // samples align; aborts on mismatched traces. The testbed stays fully
+  // usable: a phased scenario can restart the rigs, run the next phase, and
+  // take again. A second take with no intervening samples is empty.
   power::PowerTrace take_fleet_trace() override;
 
  private:
@@ -117,22 +111,19 @@ class Testbed final : public FleetHost {
   // Engine construction + start for every pending job, in job order; returns
   // all engines (the drive set).
   std::vector<iogen::IoEngine*> start_pending_jobs();
-  // Epoch-boundary materialization: every rig converts its elapsed ADC ticks
-  // in device order. Keeps per-rig pending buffers bounded by one epoch, and
-  // on a sharded host runs inside the shard's worker thread (all state is
-  // shard-local). Called at the end of run_jobs/run_epoch/advance.
+  // Epoch-boundary hook, called at the end of run_jobs/run_epoch/advance:
+  // kStreamingSum drains the rigs (drain_rigs); kFullTraces has every rig
+  // convert its elapsed ADC ticks. Either way per-rig pending work is
+  // bounded by one epoch and, on a sharded host, runs inside the shard's
+  // worker thread (all state is shard-local).
   void materialize_rigs();
-  // kStreamingSum sink target for device `device`. Arrival order differs by
-  // sampler: segment-lazy rigs deliver device-major batches (all of device
-  // 0's elapsed ticks, then device 1's, ... at each materialization); the
-  // per-tick reference delivers sample-major rounds (every device at tick k,
-  // then k+1). A per-device cursor into fleet_sum_ handles both: the first
-  // device to reach an index appends (always device 0 — it flushes first in
-  // a batch, and rigs tick in start order live), later devices add in place
-  // — so every sample is summed device 0 + 1 + 2 + ..., the same
-  // left-to-right order accumulate_aligned uses, and both trace modes AND
-  // both samplers stay bit-identical.
-  void sum_sample(std::size_t device, TimeNs t, Watts w);
+  // The one place where device samples meet the fleet sum: takes every rig's
+  // trace, sums them device-major with accumulate_aligned (device 0 + 1 +
+  // 2 + ..., by construction rather than by when a rig happened to flush),
+  // and appends the result to fleet_sum_. So a mid-run read of any rig's
+  // trace() cannot change the fleet trace, and both trace modes yield
+  // bit-identical sums.
+  void drain_rigs();
 
   sim::Simulator sim_;
   std::vector<std::unique_ptr<devices::DeviceBundle>> devices_;
@@ -141,10 +132,7 @@ class Testbed final : public FleetHost {
   std::size_t round_robin_ = 0;
 
   TraceMode trace_mode_ = TraceMode::kFullTraces;
-  power::PowerTrace fleet_sum_;   // kStreamingSum: the one retained trace
-  // Per-device write cursor into fleet_sum_: samples contributed since the
-  // last take_fleet_trace().
-  std::vector<std::size_t> sum_cursor_;
+  power::PowerTrace fleet_sum_;  // drained rig sums since the last take
 };
 
 // Per-device planning inputs for a live fleet: the measured configuration

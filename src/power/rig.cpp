@@ -45,7 +45,7 @@ MeasurementRig::MeasurementRig(sim::Simulator& sim, sim::BlockDevice& device,
 
 MeasurementRig::~MeasurementRig() {
   // Detach without materializing: pending samples die with the trace they
-  // would have landed in, and a sink may already be gone.
+  // would have landed in.
   if (started_) device_.set_power_observer(nullptr);
 }
 
@@ -120,15 +120,7 @@ void MeasurementRig::flush_pending() {
   for (std::size_t i = 0; i < n; ++i) {
     // Exact integer grid arithmetic: the i-th pending tick's timestamp.
     const TimeNs t = pending_first_t_ + static_cast<TimeNs>(i) * period;
-    const Watts measured = measure_once(pending_raw_[i]);
-    // Retention: the trace is the default; a sink and/or streaming stats
-    // replace it (rack-scale modes — no per-device trace is kept).
-    if (sink_) sink_(t, measured);
-    if (stats_ != nullptr) {
-      stats_->add(t, measured);
-    } else if (!sink_) {
-      trace_.add(t, measured);
-    }
+    trace_.add(t, measure_once(pending_raw_[i]));
   }
   samples_emitted_ += n;
   pending_raw_.clear();
@@ -148,44 +140,15 @@ PowerTrace MeasurementRig::take_trace() {
   return out;
 }
 
-void MeasurementRig::set_sample_sink(SampleSink sink) {
-  if (started_) fail("configure the sink while the rig is stopped");
-  sink_ = std::move(sink);
-}
-
 void MeasurementRig::set_sample_period(TimeNs period) {
   PAS_CHECK(period > 0);
-  // Lifetime precondition, across EVERY retention mode: a sample already
-  // handed to a sink or folded into streaming stats is as immutable as one
-  // retained in the trace, so re-timing after any of them would silently
-  // bend the grid under the consumer.
+  // Lifetime precondition: a sample already moved out by take_trace() is as
+  // immutable as one still retained, so re-timing after either would
+  // silently bend the grid under the fleet sum. A stopped rig has no
+  // pending ticks (stop() materializes), so the lifetime count covers all.
   if (started_) fail("re-time the ADC while the rig is stopped");
-  if (samples_emitted_ != 0 || !pending_raw_.empty() || !trace_.empty() ||
-      (stats_ != nullptr && stats_->count() != 0)) {
-    fail("re-time the ADC before any sample is taken (samples already "
-         "dispatched to the trace, sink, or streaming stats)");
-  }
+  if (samples_emitted_ != 0) fail("re-time the ADC before any sample is taken");
   config_.sample_period = period;
-}
-
-void MeasurementRig::enable_streaming(TimeNs window) {
-  if (started_) fail("enable streaming while the rig is stopped");
-  if (!trace_.empty()) fail("streaming cannot start mid-trace");
-  stats_ = std::make_unique<StreamingTraceStats>(window);
-}
-
-const StreamingTraceStats& MeasurementRig::streaming_stats() const {
-  if (stats_ == nullptr) fail("rig is not in streaming_only mode");
-  const_cast<MeasurementRig*>(this)->materialize();
-  return *stats_;
-}
-
-TraceSummary MeasurementRig::take_streaming_summary() {
-  if (stats_ == nullptr) fail("rig is not in streaming_only mode");
-  materialize();
-  TraceSummary out = stats_->summary();
-  stats_->reset();
-  return out;
 }
 
 Watts MeasurementRig::measure_once(Watts true_power) {

@@ -16,22 +16,19 @@
 // first converts any ADC ticks that elapsed under the closing segment into
 // raw true-power values (exact per-segment energy arithmetic, identical to
 // what a live tick would have read) — and defers the expensive measurement
-// chain (two gaussian draws, quantization) plus retention dispatch to
-// materialize(), which replays the pending ticks in one batch loop in exact
-// per-sample order. Because the noise RNG is drawn in the same order and the
-// energy expressions use the same operands, every retention mode is
-// bit-identical to a per-tick sampler that reads the device at every ADC
-// tick; power_rig_lazy_test builds that reference from the public API and
-// asserts exact equality across the mode matrix.
+// chain (two gaussian draws, quantization) to materialize(), which replays
+// the pending ticks into the trace in one batch loop in exact per-sample
+// order. Because the noise RNG is drawn in the same order and the energy
+// expressions use the same operands, the trace is bit-identical to a
+// per-tick sampler that reads the device at every ADC tick;
+// power_rig_lazy_test builds that reference from the public API and asserts
+// exact equality.
 #pragma once
 
-#include <functional>
-#include <memory>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/units.h"
-#include "power/streaming.h"
 #include "power/trace.h"
 #include "sim/block_device.h"
 #include "sim/power_signal.h"
@@ -74,45 +71,27 @@ class MeasurementRig : private sim::PowerObserver {
 
   void start();
   void stop();
-  bool running() const { return started_; }
 
   // Converts every ADC tick elapsed up to now() into finished samples
-  // (measurement chain + retention dispatch), in one batch loop. Called
-  // implicitly by stop() and by every read accessor; the fleet hosts also
-  // call it at epoch boundaries so pending work is bounded by one epoch and
-  // runs on the shard's worker thread. No-op when stopped or already caught
-  // up.
+  // appended to the trace, in one batch loop. Called implicitly by stop()
+  // and by every read accessor; the fleet hosts also call it at epoch
+  // boundaries so pending work is bounded by one epoch and runs on the
+  // shard's worker thread. No-op when stopped or already caught up.
   void materialize();
 
-  // Reads materialize first (logically const: the samples exist as of now()
-  // regardless of when the batch loop runs — see DESIGN.md section 13).
+  // The rig's only retention: every measured sample is appended to the
+  // trace. Reads materialize first (logically const: the samples exist as of
+  // now() regardless of when the batch loop runs — see DESIGN.md section
+  // 13). take_trace() moves the samples out and leaves an empty trace; the
+  // fleet hosts sum the taken traces into the fleet trace.
   const PowerTrace& trace() const;
   PowerTrace take_trace();
 
-  // --- rack-scale retention modes ---
-  // By default every measured sample is appended to trace(). Either mode
-  // below replaces that unbounded retention; both must be configured while
-  // the rig is stopped and are mutually composable (sink + streaming).
-  //
-  // Sample sink: each measured sample is handed to `sink` instead of being
-  // retained here. The sharded testbed taps every rig of a shard into one
-  // per-shard fleet-sum accumulator this way, so a rack of rigs holds no
-  // per-device traces at all. Pass nullptr to restore trace retention.
-  using SampleSink = std::function<void(TimeNs, Watts)>;
-  void set_sample_sink(SampleSink sink);
   // Re-times the ADC tick (rack scenarios decimate 1 kHz -> 100 Hz to keep a
   // 1 000-rig fleet tractable; the window-average math is rate-independent).
-  // Only while stopped and before any sample has been taken — in ANY
-  // retention mode, sink dispatch included; the error names the rig.
+  // Only while stopped and before any sample has been taken — a sample
+  // already moved out by take_trace() counts; the error names the rig.
   void set_sample_period(TimeNs period);
-  // streaming_only mode: O(window)-memory running statistics replace the
-  // trace. streaming_stats().summary() is bit-identical to
-  // trace().analyze(window) over the same samples (asserted in tests).
-  void enable_streaming(TimeNs window);
-  bool streaming_only() const { return stats_ != nullptr; }
-  const StreamingTraceStats& streaming_stats() const;
-  // Current summary, then forgets the samples seen so far (phase boundary).
-  TraceSummary take_streaming_summary();
 
   const RigConfig& config() const { return config_; }
 
@@ -132,7 +111,7 @@ class MeasurementRig : private sim::PowerObserver {
   void on_power_update(const sim::PowerSegment& seg) override;
   // Converts the tick at next_tick_ into a raw pending value under seg_.
   void push_tick();
-  // Runs the measurement chain + retention dispatch over pending ticks.
+  // Runs the measurement chain over pending ticks into the trace.
   void flush_pending();
   [[noreturn]] void fail(const char* what) const;
 
@@ -141,8 +120,6 @@ class MeasurementRig : private sim::PowerObserver {
   RigConfig config_;
   Rng rng_;
   PowerTrace trace_;
-  SampleSink sink_;                            // null: retain samples locally
-  std::unique_ptr<StreamingTraceStats> stats_; // null: full-trace retention
 
   // Actual (imperfect) chain constants, drawn once at construction.
   double actual_shunt_ohms_;
@@ -171,7 +148,7 @@ class MeasurementRig : private sim::PowerObserver {
   TimeNs next_tick_ = 0;
   TimeNs pending_first_t_ = 0;
   std::vector<double> pending_raw_;
-  std::uint64_t samples_emitted_ = 0;  // lifetime, across ALL retention modes
+  std::uint64_t samples_emitted_ = 0;  // lifetime, including taken traces
 };
 
 }  // namespace pas::power

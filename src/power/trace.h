@@ -6,7 +6,7 @@
 // Storage is structure-of-arrays with a uniform-grid fast path: the rig
 // samples at a fixed period, so the overwhelmingly common trace is fully
 // described by (start_t, period) plus one contiguous vector<double> of watt
-// values — half the memory of the old vector<PowerSample> layout, and every
+// values — half the memory of an array of (t, w) pairs, and every
 // reduction becomes a contiguous, auto-vectorizable loop over doubles. A
 // trace whose timestamps leave the grid degrades transparently to an
 // explicit-timestamps fallback (times_ parallel to watts_) with identical
@@ -20,11 +20,6 @@
 #include "common/units.h"
 
 namespace pas::power {
-
-struct PowerSample {
-  TimeNs t = 0;
-  Watts watts = 0.0;
-};
 
 // All per-trace reductions from one fused pass (see PowerTrace::analyze).
 // Each field is bit-identical to the corresponding single-purpose method:
@@ -57,7 +52,6 @@ class PowerTrace {
 
   bool empty() const { return watts_.empty(); }
   std::size_t size() const { return watts_.size(); }
-  PowerSample operator[](std::size_t i) const { return PowerSample{time_at(i), watts_[i]}; }
 
   TimeNs time_at(std::size_t i) const {
     return times_.empty() ? start_t_ + static_cast<TimeNs>(i) * period_ : times_[i];
@@ -104,13 +98,6 @@ class PowerTrace {
   // traces), not per sample. Used for fleet summation.
   void accumulate_aligned(const PowerTrace& other);
 
-  // Adds `w` into the existing sample at index `i` (caller has verified
-  // time_at(i) matches). The streaming-sum fleet accumulator lands each
-  // device's materialized batch this way: device 0 appends, devices 1..N-1
-  // add in place at a cursor, preserving the device-major left-to-right sum
-  // order that keeps both trace modes bit-identical.
-  void accumulate_at(std::size_t i, Watts w) { watts_[i] += w; }
-
   // Full distribution of sample values (violin plot input).
   SampleSet to_sample_set() const;
   DistributionSummary distribution() const;
@@ -135,7 +122,6 @@ class TraceView {
 
   bool empty() const { return begin_ == end_; }
   std::size_t size() const { return end_ - begin_; }
-  PowerSample operator[](std::size_t i) const { return (*trace_)[begin_ + i]; }
   TimeNs time_at(std::size_t i) const { return trace_->time_at(begin_ + i); }
 
   TimeNs start_time() const;

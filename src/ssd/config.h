@@ -73,10 +73,9 @@ struct SsdConfig {
   // NVMe-style power states; index 0 is ps0. Empty => single uncapped state.
   std::vector<SsdPowerState> power_states;
 
-  // The cap applies to average power over this window (NVMe: 10 s). The
-  // governor's burst allowance is cap * governor_burst_seconds; firmware
-  // keeps it far below the window so even short bursts stay near the cap.
-  TimeNs cap_window = seconds(10);
+  // NVMe caps average power over a 10 s window. The governor's burst
+  // allowance is cap * governor_burst_seconds; firmware keeps it far below
+  // the window so even short bursts stay near the cap.
   double governor_burst_seconds = 0.01;
   // Once the budget is exhausted the governor pauses NAND issue until this
   // many cap-seconds of credit accumulate (coarse duty-cycled enforcement).

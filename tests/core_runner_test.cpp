@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <climits>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -228,6 +229,32 @@ TEST(BenchCliDeathTest, FractionalNegativeOrHugeJobsIsNamed) {
     SCOPED_TRACE(v);
     EXPECT_EXIT(parse({"bench", "--jobs", v}), ::testing::ExitedWithCode(2),
                 names("--jobs", v));
+  }
+}
+
+// PAS_JOBS follows --jobs's rules: a malformed value exits 2 naming the
+// variable and the value instead of silently running some other worker
+// count. Unset, empty or 0 means hardware concurrency.
+TEST(BenchCliDeathTest, MalformedPasJobsIsNamed) {
+  const char* saved = std::getenv("PAS_JOBS");
+  const std::string restore = saved != nullptr ? saved : "";
+  ::unsetenv("PAS_JOBS");
+  const int fallback = default_jobs();
+  for (const char* v : {"", "0"}) {
+    ::setenv("PAS_JOBS", v, 1);
+    EXPECT_EQ(default_jobs(), fallback) << "PAS_JOBS='" << v << "'";
+  }
+  ::setenv("PAS_JOBS", "3", 1);
+  EXPECT_EQ(default_jobs(), 3);
+  for (const char* v : {"2x", "abc", "-3", "+2", " 4", "2.5", "2147483648"}) {
+    SCOPED_TRACE(v);
+    ::setenv("PAS_JOBS", v, 1);
+    EXPECT_EXIT(default_jobs(), ::testing::ExitedWithCode(2), names("PAS_JOBS", v));
+  }
+  if (saved != nullptr) {
+    ::setenv("PAS_JOBS", restore.c_str(), 1);
+  } else {
+    ::unsetenv("PAS_JOBS");
   }
 }
 

@@ -63,10 +63,10 @@ FleetRun run_fleet(FleetHost& host, std::size_t devices) {
 void expect_bit_identical(const power::PowerTrace& a, const power::PowerTrace& b) {
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a[i].t, b[i].t) << "sample " << i;
+    ASSERT_EQ(a.time_at(i), b.time_at(i)) << "sample " << i;
     // Doubles compared exactly on purpose: the contract is bit-identity,
     // not approximate equivalence.
-    ASSERT_EQ(a[i].watts, b[i].watts) << "sample " << i;
+    ASSERT_EQ(a.watts()[i], b.watts()[i]) << "sample " << i;
   }
 }
 

@@ -147,14 +147,14 @@ TEST(Testbed, ManyDevicesShareOneTimeline) {
   EXPECT_EQ(testbed.job_result(jb).bytes, 32 * MiB);
   EXPECT_GT(testbed.sim().now(), 0);
   // The fleet trace is the pointwise sum of the aligned per-device rigs.
-  const power::PowerTrace fleet = testbed.fleet_trace();
-  const power::PowerTrace& ta = testbed.device(a).rig->trace();
-  const power::PowerTrace& tb = testbed.device(b).rig->trace();
+  const power::PowerTrace ta = testbed.device(a).rig->trace();
+  const power::PowerTrace tb = testbed.device(b).rig->trace();
+  const power::PowerTrace fleet = testbed.take_fleet_trace();
   ASSERT_EQ(fleet.size(), ta.size());
   ASSERT_EQ(fleet.size(), tb.size());
   for (std::size_t i = 0; i < fleet.size(); i += 97) {
-    EXPECT_EQ(fleet[i].t, ta[i].t);
-    EXPECT_DOUBLE_EQ(fleet[i].watts, ta[i].watts + tb[i].watts);
+    EXPECT_EQ(fleet.time_at(i), ta.time_at(i));
+    EXPECT_DOUBLE_EQ(fleet.watts()[i], ta.watts()[i] + tb.watts()[i]);
   }
   // index_of maps routing decisions back to testbed slots.
   EXPECT_EQ(testbed.index_of(testbed.device(b).device.get()), b);
@@ -235,6 +235,45 @@ TEST(Testbed, TakeFleetTraceLeavesReusableStateAndDoubleTakeIsEmpty) {
   const power::PowerTrace second = testbed.take_fleet_trace();
   ASSERT_GT(second.size(), 0u);
   EXPECT_GT(second.start_time(), first.end_time());
+}
+
+// The fleet sum depends only on the samples. A simulator callback that
+// reads a non-first rig's trace mid-run (materializing that rig ahead of the
+// others) must leave the streaming-sum fleet trace bit-identical to the
+// full-trace merge. Three devices: a sum of two doubles commutes, so only a
+// third operand exposes a sum order that follows flush order.
+TEST(Testbed, StreamingSumUnchangedByMidRunRigRead) {
+  auto run_mode = [](TraceMode mode) {
+    Testbed testbed;
+    testbed.set_trace_mode(mode);
+    const devices::DeviceId ids[] = {devices::DeviceId::kSsd1, devices::DeviceId::kSsd2,
+                                     devices::DeviceId::kHdd};
+    for (std::size_t i = 0; i < 3; ++i) {
+      testbed.add_device(ids[i], 30 + i);
+      iogen::JobSpec spec = small_randwrite(256 * 1024, 8);
+      spec.io_limit_bytes = 0;
+      spec.time_limit = milliseconds(200);
+      spec.seed = 40 + i;
+      testbed.add_job(spec, i);
+    }
+    testbed.sim().schedule_at(milliseconds(77), [&testbed] { testbed.device(2).rig->trace(); });
+    testbed.sim().schedule_at(milliseconds(131), [&testbed] { testbed.device(1).rig->trace(); });
+    testbed.start_rigs();
+    testbed.run_jobs();
+    testbed.stop_rigs();
+    return testbed.take_fleet_trace();
+  };
+  const power::PowerTrace full = run_mode(TraceMode::kFullTraces);
+  const power::PowerTrace streaming = run_mode(TraceMode::kStreamingSum);
+  ASSERT_GT(full.size(), 150u);
+  ASSERT_EQ(streaming.size(), full.size());
+  std::size_t differing = 0;
+  for (std::size_t i = 0; i < full.size(); ++i) {
+    ASSERT_EQ(streaming.time_at(i), full.time_at(i)) << "sample " << i;
+    // Exact comparison: the contract is bit-identity.
+    if (streaming.watts()[i] != full.watts()[i]) ++differing;
+  }
+  EXPECT_EQ(differing, 0u) << "of " << full.size() << " fleet samples";
 }
 
 model::ExperimentPoint fleet_option(int ps, double watts, double mib_s) {

@@ -1,9 +1,8 @@
 // Bit-identity matrix for segment-lazy rig sampling (DESIGN.md section 13):
 // a lazy rig and a per-tick reference sampler observe the SAME power
-// schedule from twin simulators and must emit byte-identical samples in
-// every retention mode (trace, sample sink, streaming-only), integrating and
-// instantaneous, calibrated and not, at 1 kHz and the decimated 100 Hz —
-// including when the lazy trace is read mid-run.
+// schedule from twin simulators and must emit byte-identical traces,
+// integrating and instantaneous, calibrated and not, at 1 kHz and the
+// decimated 100 Hz — including when the lazy trace is read mid-run.
 #include <gtest/gtest.h>
 
 #include <utility>
@@ -14,7 +13,6 @@
 #include "core/testbed.h"
 #include "fake_device.h"
 #include "power/rig.h"
-#include "power/streaming.h"
 #include "sim/simulator.h"
 
 namespace pas::power {
@@ -32,7 +30,6 @@ struct Column {
   sim::Simulator sim;
   FakePowerDevice dev;
   MeasurementRig rig;
-  std::vector<std::pair<TimeNs, Watts>> sunk;
 
   Column(RigConfig rc, std::uint64_t seed) : dev(sim, 1.5), rig(sim, dev, rc, seed) {}
 
@@ -51,6 +48,7 @@ struct Column {
 // one sample per tick. Every sample lands in `sunk`, in tick order.
 struct ReferenceColumn : Column {
   sim::PeriodicTask task;
+  std::vector<std::pair<TimeNs, Watts>> sunk;
   Joules last_energy = 0.0;
   TimeNs last_t = 0;
 
@@ -105,10 +103,7 @@ void expect_identical_traces(const PowerTrace& lazy, const PowerTrace& ref) {
   }
 }
 
-enum class Retention { kTrace, kSink, kStreaming };
-
-void run_matrix_case(Retention retention, bool integrating, bool calibrated,
-                     TimeNs period, bool read_mid_run) {
+void run_matrix_case(bool integrating, bool calibrated, TimeNs period, bool read_mid_run) {
   RigConfig rc;
   rc.integrating = integrating;
   rc.calibrated = calibrated;
@@ -120,18 +115,12 @@ void run_matrix_case(Retention retention, bool integrating, bool calibrated,
   const auto plan = off_grid_plan();
   lazy.schedule(plan);
   ref.schedule(plan);
-
-  if (retention == Retention::kSink) {
-    lazy.rig.set_sample_sink([&lazy](TimeNs t, Watts w) { lazy.sunk.emplace_back(t, w); });
-  } else if (retention == Retention::kStreaming) {
-    lazy.rig.enable_streaming(milliseconds(50));
-  }
   lazy.rig.start();
   ref.start();
 
   lazy.sim.run_until(milliseconds(60));
   ref.sim.run_until(milliseconds(60));
-  if (read_mid_run && retention == Retention::kTrace) {
+  if (read_mid_run) {
     // Mid-run reads materialize; they must not perturb later samples.
     ASSERT_EQ(lazy.rig.trace().size(), ref.sunk.size());
   }
@@ -140,50 +129,19 @@ void run_matrix_case(Retention retention, bool integrating, bool calibrated,
   lazy.rig.stop();
   ref.stop();
 
-  switch (retention) {
-    case Retention::kTrace:
-      expect_identical_traces(lazy.rig.trace(), ref.trace());
-      ASSERT_GT(lazy.rig.trace().size(), 0u);
-      break;
-    case Retention::kSink: {
-      ASSERT_EQ(lazy.sunk.size(), ref.sunk.size());
-      ASSERT_GT(lazy.sunk.size(), 0u);
-      for (std::size_t i = 0; i < lazy.sunk.size(); ++i) {
-        ASSERT_EQ(lazy.sunk[i].first, ref.sunk[i].first) << "sample " << i;
-        ASSERT_EQ(lazy.sunk[i].second, ref.sunk[i].second) << "sample " << i;
-      }
-      break;
-    }
-    case Retention::kStreaming: {
-      StreamingTraceStats ref_stats(milliseconds(50));
-      for (const auto& [t, w] : ref.sunk) ref_stats.add(t, w);
-      const TraceSummary a = lazy.rig.take_streaming_summary();
-      const TraceSummary b = ref_stats.summary();
-      ASSERT_EQ(a.count, b.count);
-      ASSERT_GT(a.count, 0u);
-      ASSERT_EQ(a.min_w, b.min_w);
-      ASSERT_EQ(a.max_w, b.max_w);
-      ASSERT_EQ(a.mean_w, b.mean_w);
-      ASSERT_EQ(a.max_window_w, b.max_window_w);
-      break;
-    }
-  }
+  expect_identical_traces(lazy.rig.trace(), ref.trace());
+  ASSERT_GT(lazy.rig.trace().size(), 0u);
 }
 
 TEST(SegmentLazyMatrix, AllModesBitIdentical) {
-  for (Retention retention :
-       {Retention::kTrace, Retention::kSink, Retention::kStreaming}) {
-    for (bool integrating : {true, false}) {
-      for (bool calibrated : {true, false}) {
-        for (TimeNs period : {milliseconds(1), milliseconds(10)}) {
-          for (bool read_mid_run : {false, true}) {
-            SCOPED_TRACE(::testing::Message()
-                         << "retention=" << static_cast<int>(retention)
-                         << " integrating=" << integrating
-                         << " calibrated=" << calibrated << " period_ns=" << period
-                         << " mid_read=" << read_mid_run);
-            run_matrix_case(retention, integrating, calibrated, period, read_mid_run);
-          }
+  for (bool integrating : {true, false}) {
+    for (bool calibrated : {true, false}) {
+      for (TimeNs period : {milliseconds(1), milliseconds(10)}) {
+        for (bool read_mid_run : {false, true}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "integrating=" << integrating << " calibrated=" << calibrated
+                       << " period_ns=" << period << " mid_read=" << read_mid_run);
+          run_matrix_case(integrating, calibrated, period, read_mid_run);
         }
       }
     }
@@ -252,20 +210,20 @@ TEST(SegmentLazyMatrix, StopRestartMatchesReference) {
   ASSERT_GT(ref.sunk.size(), 0u);
 }
 
-// The set_sample_period lifetime precondition holds across EVERY retention
-// mode: once a sample has been dispatched anywhere (sink included), re-timing
-// aborts with an error naming the rig.
+// The set_sample_period lifetime precondition outlives the trace: once
+// samples have been dispatched out of the rig with take_trace() (as the
+// fleet hosts drain rigs into the fleet sum), the rig again holds an empty
+// trace, yet re-timing still aborts with an error naming the rig.
 TEST(SegmentLazyMatrixDeathTest, RetimeAfterSinkDispatchAborts) {
   sim::Simulator sim;
   FakePowerDevice dev(sim, 2.0);
   MeasurementRig rig(sim, dev, RigConfig{}, 1);
-  std::vector<std::pair<TimeNs, Watts>> sunk;
-  rig.set_sample_sink([&](TimeNs t, Watts w) { sunk.emplace_back(t, w); });
   rig.start();
   sim.run_until(milliseconds(3));
   rig.stop();
-  ASSERT_EQ(sunk.size(), 3u);
-  EXPECT_DEATH(rig.set_sample_period(milliseconds(10)), "fake");
+  ASSERT_EQ(rig.take_trace().size(), 3u);
+  ASSERT_TRUE(rig.trace().empty());
+  EXPECT_DEATH(rig.set_sample_period(milliseconds(10)), "fake.*before any sample");
 }
 
 TEST(SegmentLazyMatrixDeathTest, RetimeWhileRunningAborts) {

@@ -103,7 +103,7 @@ TEST(MeasurementRig, IntegratingModeCapturesSubSampleBursts) {
   // Average over [10ms, 20ms) = (9*1 + 1*101)/10 = 11 W.
   const PowerTrace& trace = rig.trace();
   ASSERT_GE(trace.size(), 2u);
-  EXPECT_NEAR(trace[1].watts, 11.0, 0.5);
+  EXPECT_NEAR(trace.watts()[1], 11.0, 0.5);
 }
 
 TEST(MeasurementRig, InstantaneousModeMissesSubSampleBursts) {
@@ -151,6 +151,18 @@ TEST(MeasurementRig, TakeTraceResets) {
   EXPECT_TRUE(rig.trace().empty());
   sim.run_until(milliseconds(100));
   EXPECT_EQ(rig.trace().size(), 50u);
+}
+
+// Rack rigs (the streaming-sum fleets) run decimated to 100 Hz.
+TEST(MeasurementRigStreaming, DecimatedRigSamplesAtTheNewRate) {
+  sim::Simulator sim;
+  FakePowerDevice dev(sim, 4.0);
+  MeasurementRig rig(sim, dev, RigConfig{}, 7);
+  rig.set_sample_period(milliseconds(10));  // 1 kHz -> 100 Hz
+  rig.start();
+  sim.run_until(seconds(2));
+  rig.stop();
+  EXPECT_EQ(rig.trace().size(), 200u);
 }
 
 TEST(MeasurementRig, ZeroPowerReadsNearZero) {

@@ -45,8 +45,8 @@ TEST(PowerTrace, UniformGridStorage) {
   EXPECT_EQ(t.period(), milliseconds(1));
   EXPECT_EQ(t.start_time(), milliseconds(1));
   EXPECT_EQ(t.time_at(3), milliseconds(4));
-  EXPECT_EQ(t[2].t, milliseconds(3));
-  EXPECT_DOUBLE_EQ(t[2].watts, 3.0);
+  EXPECT_EQ(t.time_at(2), milliseconds(3));
+  EXPECT_DOUBLE_EQ(t.watts()[2], 3.0);
   EXPECT_EQ(t.watts().size(), 4u);
 }
 
@@ -62,7 +62,7 @@ TEST(PowerTrace, NonUniformFallbackPreservesSamples) {
   EXPECT_EQ(t.time_at(1), milliseconds(2));
   EXPECT_EQ(t.time_at(2), milliseconds(3));
   EXPECT_EQ(t.time_at(3), milliseconds(3) + microseconds(250));
-  EXPECT_DOUBLE_EQ(t[3].watts, 4.0);
+  EXPECT_DOUBLE_EQ(t.watts()[3], 4.0);
   EXPECT_DOUBLE_EQ(t.mean_power(), 2.5);
   EXPECT_DOUBLE_EQ(t.min_power(), 1.0);
   EXPECT_DOUBLE_EQ(t.max_power(), 4.0);
@@ -168,8 +168,8 @@ TEST(PowerTrace, SliceHalfOpen) {
   const PowerTrace t = make_trace({1.0, 2.0, 3.0, 4.0, 5.0});  // at 1..5 ms
   const TraceView s = t.slice(milliseconds(2), milliseconds(4));
   ASSERT_EQ(s.size(), 2u);
-  EXPECT_DOUBLE_EQ(s[0].watts, 2.0);
-  EXPECT_DOUBLE_EQ(s[1].watts, 3.0);
+  EXPECT_DOUBLE_EQ(s.min_power(), 2.0);  // two samples: 2 W, then 3 W
+  EXPECT_DOUBLE_EQ(s.max_power(), 3.0);
   // `from` lands ON a sample: included. `to` lands ON a sample: excluded.
   EXPECT_EQ(s.start_time(), milliseconds(2));
   EXPECT_EQ(s.end_time(), milliseconds(3));
@@ -193,9 +193,10 @@ TEST(PowerTrace, SliceOnFallbackRepresentation) {
   const TimeNs t3 = t.time_at(3);
   const TraceView s = t.slice(t1, t3);  // [t1, t3): samples 1 and 2
   ASSERT_EQ(s.size(), 2u);
-  EXPECT_DOUBLE_EQ(s[0].watts, 2.0);
-  EXPECT_DOUBLE_EQ(s[1].watts, 3.0);
+  EXPECT_DOUBLE_EQ(s.min_power(), 2.0);  // two samples: 2 W, then 3 W
+  EXPECT_DOUBLE_EQ(s.max_power(), 3.0);
   EXPECT_EQ(s.start_time(), t1);
+  EXPECT_EQ(s.time_at(1), t.time_at(2));
 }
 
 TEST(PowerTrace, ViewMatchesOwningTraceAnalytics) {
@@ -234,9 +235,9 @@ TEST(PowerTrace, AccumulateAlignedSumsPointwise) {
   PowerTrace a = make_trace({1.0, 2.0, 3.0});
   const PowerTrace b = make_trace({0.5, 0.5, 0.5});
   a.accumulate_aligned(b);
-  EXPECT_DOUBLE_EQ(a[0].watts, 1.5);
-  EXPECT_DOUBLE_EQ(a[1].watts, 2.5);
-  EXPECT_DOUBLE_EQ(a[2].watts, 3.5);
+  EXPECT_DOUBLE_EQ(a.watts()[0], 1.5);
+  EXPECT_DOUBLE_EQ(a.watts()[1], 2.5);
+  EXPECT_DOUBLE_EQ(a.watts()[2], 3.5);
   EXPECT_EQ(a.start_time(), milliseconds(1));
   // Fallback representations align as long as the timestamps match.
   PowerTrace c = make_trace({1.0, 2.0, 3.0});
@@ -245,7 +246,7 @@ TEST(PowerTrace, AccumulateAlignedSumsPointwise) {
   d.add(microseconds(3500), 4.0);
   ASSERT_FALSE(c.is_uniform());
   c.accumulate_aligned(d);
-  EXPECT_DOUBLE_EQ(c[3].watts, 8.0);
+  EXPECT_DOUBLE_EQ(c.watts()[3], 8.0);
 }
 
 TEST(PowerTrace, AccumulateMisalignedAborts) {
