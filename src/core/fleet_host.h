@@ -11,7 +11,8 @@
 // by a global index in add_job order, regardless of which shard hosts them —
 // so a scenario written against FleetHost is byte-identical between a
 // Testbed and a one-shard ShardedTestbed, and deterministic (independent of
-// worker-thread count and scheduling) on any shard count.
+// worker-thread count and scheduling) on any shard count. Every call that
+// moves the clock is run_jobs or run_epoch: advance() is defined once, here.
 //
 // The time model: every host exposes ONE fleet clock. For the Testbed it is
 // simply its simulator's clock; for the sharded host it is the common epoch
@@ -75,7 +76,7 @@ enum class TraceMode {
   // Rigs keep their traces until take_fleet_trace() drains them.
   // Memory: devices x samples.
   kFullTraces,
-  // Every epoch boundary (the end of run_jobs/run_epoch/advance) also
+  // Every epoch boundary (the end of run_jobs/run_epoch) also
   // drains the rigs into ONE per-shard fleet-sum trace, so a rig holds at
   // most one epoch of samples; take_fleet_trace() merges the K shard sums.
   // Memory: shards x samples plus devices x one epoch's samples — the
@@ -128,9 +129,12 @@ class FleetHost {
   // to exactly `until` (an absolute fleet time — the coordinator's next
   // controller decision point), finished or not. Returns true when every
   // started job has finished. The clock lands on `until` on every shard.
+  // Open-loop arrivals are kernel events, so they keep arriving on time
+  // however a run is cut into epochs.
   virtual bool run_epoch(TimeNs until) = 0;
-  // Advances the idle fleet by `dt` (drain between budget steps).
-  virtual void advance(TimeNs dt) = 0;
+  // Advances the fleet by `dt` (drain between budget steps). It is
+  // run_epoch on every host: pending jobs start and arrivals keep flowing.
+  void advance(TimeNs dt) { run_epoch(now() + dt); }
   virtual TimeNs now() const = 0;
   // Total simulator events fired across the fleet so far (summed over shard
   // simulators). Perf accounting: the rig-sweep A/B reports how many events

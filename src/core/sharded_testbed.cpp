@@ -124,12 +124,10 @@ void ShardedTestbed::run_jobs() {
   // Resynchronize: every shard coasts forward to the latest finisher, so the
   // fleet leaves the barrier with one common clock (rigs keep accounting
   // samples through the coast — segment-lazy rigs materialize them at the
-  // shard's advance() — which is what keeps cross-shard traces aligned).
+  // shard's run_epoch() — which is what keeps cross-shard traces aligned).
   TimeNs latest = now_;
   for (const auto& shard : shards_) latest = std::max(latest, shard->now());
-  for_each_shard([this, latest](std::size_t k) {
-    shards_[k]->advance(latest - shards_[k]->now());
-  });
+  for_each_shard([this, latest](std::size_t k) { shards_[k]->run_epoch(latest); });
   now_ = latest;
 }
 
@@ -145,11 +143,6 @@ bool ShardedTestbed::run_epoch(TimeNs until) {
   bool all = true;
   for (const char f : finished) all = all && f != 0;
   return all;
-}
-
-void ShardedTestbed::advance(TimeNs dt) {
-  PAS_CHECK(dt >= 0);
-  run_epoch(now_ + dt);
 }
 
 std::uint64_t ShardedTestbed::executed_events() const {

@@ -84,7 +84,6 @@ class ShardedTestbed final : public FleetHost {
 
   void run_jobs() override;
   bool run_epoch(TimeNs until) override;
-  void advance(TimeNs dt) override;
   TimeNs now() const override { return now_; }
   // Sum over the K shard simulators.
   std::uint64_t executed_events() const override;

@@ -1,5 +1,6 @@
 #include "core/testbed.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/check.h"
@@ -81,15 +82,10 @@ void Testbed::run_jobs() {
 bool Testbed::run_epoch(TimeNs until) {
   PAS_CHECK(until >= sim_.now());
   const std::vector<iogen::IoEngine*> engines = start_pending_jobs();
-  const bool done = iogen::drive_until(sim_, engines, until);
+  sim_.run_until(until);
   materialize_rigs();
-  return done;
-}
-
-void Testbed::advance(TimeNs dt) {
-  PAS_CHECK(dt >= 0);
-  sim_.run_until(sim_.now() + dt);
-  materialize_rigs();
+  return std::all_of(engines.begin(), engines.end(),
+                     [](const iogen::IoEngine* e) { return e->finished(); });
 }
 
 void Testbed::materialize_rigs() {

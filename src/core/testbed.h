@@ -8,16 +8,17 @@
 // Ownership: the Testbed owns the simulator, and one devices::DeviceBundle
 // per device (device model + NVMe/ALPM admin handles + measurement rig, all
 // built by devices::make_device). Jobs are owned too; their IoEngines are
-// constructed lazily by run_jobs()/run_epoch() so engine construction order
-// — and hence RNG-free event order — matches the historical single-device
-// wiring.
+// constructed lazily by run_jobs()/run_epoch() (advance() is run_epoch) so
+// engine construction order — and hence RNG-free event order — matches the
+// historical single-device wiring.
 //
 // Determinism contract: everything on the timeline is a pure function of
 // (device seeds, job specs, admin-call sequence). Timestamp ties fire FIFO
 // in the kernel, devices never share queued resources, and the rigs' noise
 // streams are derived per device (seed ^ devices::kRigNoiseSeedMix), so a
 // single-device Testbed reproduces core::run_cell byte-for-byte and an
-// N-device Testbed is reproducible run-to-run.
+// N-device Testbed is reproducible run-to-run. Open-loop arrivals are
+// kernel events too, so results do not depend on where epochs end.
 #pragma once
 
 #include <cstddef>
@@ -79,12 +80,10 @@ class Testbed final : public FleetHost {
   // through iogen::drive — the repo's single drive-loop implementation.
   // Callable repeatedly: phased scenarios add jobs, run, add more, run.
   void run_jobs() override;
-  // Epoch-bounded variant: starts pending jobs, then advances to exactly
-  // `until` via iogen::drive_until. Returns true when every job finished.
+  // Epoch-bounded variant: starts pending jobs, then runs the timeline to
+  // exactly `until` (sim::Simulator::run_until; open-loop arrivals are among
+  // its events). Returns true when every job finished.
   bool run_epoch(TimeNs until) override;
-  // Advances the (possibly idle) timeline by dt; the clock lands exactly on
-  // now() + dt.
-  void advance(TimeNs dt) override;
   TimeNs now() const override { return sim_.now(); }
   std::uint64_t executed_events() const override { return sim_.executed_events(); }
 
@@ -111,7 +110,7 @@ class Testbed final : public FleetHost {
   // Engine construction + start for every pending job, in job order; returns
   // all engines (the drive set).
   std::vector<iogen::IoEngine*> start_pending_jobs();
-  // Epoch-boundary hook, called at the end of run_jobs/run_epoch/advance:
+  // Epoch-boundary hook, called at the end of run_jobs/run_epoch:
   // kStreamingSum drains the rigs (drain_rigs); kFullTraces has every rig
   // convert its elapsed ADC ticks. Either way per-rig pending work is
   // bounded by one epoch and, on a sharded host, runs inside the shard's

@@ -10,9 +10,9 @@
 //
 // The process is pull-based: next_at() is the absolute simulation time of
 // the upcoming arrival, pop() consumes it and computes the one after. The
-// driver loop (engine.cpp drive()/drive_until()) advances the simulator to
-// min(next event, next arrival), so an idle gap between sparse arrivals is
-// an ordinary wait, not a drained-queue abort.
+// engine keeps one kernel event armed at next_at() (capped by its deadline),
+// so an idle gap between sparse arrivals is an ordinary wait on the event
+// queue, not a drained-queue abort.
 #pragma once
 
 #include <cstdint>
@@ -24,8 +24,8 @@
 
 namespace pas::iogen {
 
-// "No arrival pending": closed-loop engines, exhausted processes, and dry
-// traces report this so the driver ignores them when picking a wake time.
+// "No arrival pending": a dry trace reports this, and the engine then arms
+// no further wake.
 inline constexpr TimeNs kNoArrival = std::numeric_limits<TimeNs>::max();
 
 // Stochastic arrival-time generator for kPoisson / kBursty / kDiurnal.

@@ -1,5 +1,6 @@
 #include "iogen/engine.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <utility>
 
@@ -24,6 +25,8 @@ IoEngine::IoEngine(sim::Simulator& sim, sim::BlockDevice& device, JobSpec spec)
   }
   pattern_ = make_pattern(spec_, spec_.region_bytes / spec_.block_bytes);
 }
+
+IoEngine::~IoEngine() { sim_.cancel(wake_); }
 
 void IoEngine::start(std::function<void()> on_done) {
   PAS_CHECK(!started_);
@@ -60,14 +63,6 @@ TimeNs IoEngine::next_arrival() const {
   return arrival_->next_at();
 }
 
-TimeNs IoEngine::next_wake() const {
-  if (!open_loop() || !started_ || exhausted_ || finished_) return kNoArrival;
-  const TimeNs at = next_arrival();
-  // The deadline caps the wake time so a job with sparse arrivals still
-  // notices its time limit and drains.
-  return at < deadline_ ? at : deadline_;
-}
-
 void IoEngine::issue(const PatternIo& io) {
   sim::IoRequest req;
   req.op = io.op;
@@ -96,8 +91,8 @@ void IoEngine::fill_pipe() {
 }
 
 void IoEngine::pump() {
-  if (!open_loop() || !started_ || exhausted_ || finished_) return;
-  while (true) {
+  wake_ = sim::Simulator::kInvalidEvent;  // the wake has fired (or start() calls)
+  while (!exhausted_) {
     if (limits_reached()) {
       exhausted_ = true;
       break;
@@ -107,7 +102,12 @@ void IoEngine::pump() {
       exhausted_ = true;
       break;
     }
-    if (at > sim_.now()) break;
+    if (at > sim_.now()) {
+      // The deadline caps the wake so a job with sparse arrivals still
+      // notices its time limit and drains.
+      wake_ = sim_.schedule_at(std::min(at, deadline_), [this] { pump(); });
+      return;
+    }
     if (!issue_next()) break;  // pattern dry -> exhausted_
     if (arrival_ != nullptr) arrival_->pop();
   }
@@ -117,6 +117,7 @@ void IoEngine::pump() {
 void IoEngine::maybe_finish() {
   if (exhausted_ && in_flight_ == 0 && !finished_) {
     finished_ = true;
+    sim_.cancel(std::exchange(wake_, sim::Simulator::kInvalidEvent));
     result_.elapsed = sim_.now() - start_time_;
     if (on_done_) on_done_();
   }
@@ -142,10 +143,9 @@ void IoEngine::on_complete(const sim::IoCompletion& c, bool rmw) {
     issue(wb);
   }
   if (open_loop()) {
-    // Arrivals are clock-driven; completions only drain the pipe. Late
-    // arrivals are picked up by the driver's pump, but the limits can flip
-    // to exhausted here (e.g. the byte budget filled while IOs were in
-    // flight).
+    // Arrivals are clock-driven; completions only drain the pipe. The wake
+    // event issues the next arrival, but the limits can flip to exhausted
+    // here (e.g. the byte budget filled while IOs were in flight).
     if (!exhausted_ && limits_reached()) exhausted_ = true;
     maybe_finish();
     return;
@@ -161,33 +161,6 @@ void IoEngine::on_complete(const sim::IoCompletion& c, bool rmw) {
 }
 
 namespace {
-
-bool all_finished(std::span<IoEngine* const> engines) {
-  for (IoEngine* e : engines) {
-    if (!e->finished()) return false;
-  }
-  return true;
-}
-
-bool any_open_loop(std::span<IoEngine* const> engines) {
-  for (IoEngine* e : engines) {
-    if (e->open_loop()) return true;
-  }
-  return false;
-}
-
-TimeNs min_wake(std::span<IoEngine* const> engines) {
-  TimeNs wake = kNoArrival;
-  for (IoEngine* e : engines) {
-    const TimeNs w = e->next_wake();
-    if (w < wake) wake = w;
-  }
-  return wake;
-}
-
-void pump_all(std::span<IoEngine* const> engines) {
-  for (IoEngine* e : engines) e->pump();
-}
 
 // The queue drained with unfinished jobs: name them so the stuck job is
 // diagnosable (which engine, how deep its pipe, how far it got).
@@ -209,44 +182,14 @@ void pump_all(std::span<IoEngine* const> engines) {
 }  // namespace
 
 void drive(sim::Simulator& sim, std::span<IoEngine* const> engines) {
-  if (!any_open_loop(engines)) {
-    // Historical fast path: pure closed-loop fleets step event-for-event
-    // with no wake bookkeeping (and byte-identical results).
-    while (!all_finished(engines) && sim.step()) {
-    }
-    if (!all_finished(engines)) report_stuck(sim, engines);
-    return;
+  // finished() never reverts, so the cursor only moves forward and the
+  // per-event check is amortised O(1).
+  std::size_t cursor = 0;
+  for (;;) {
+    while (cursor < engines.size() && engines[cursor]->finished()) ++cursor;
+    if (cursor == engines.size()) return;
+    if (!sim.step()) report_stuck(sim, engines);
   }
-  while (!all_finished(engines)) {
-    const TimeNs wake = min_wake(engines);
-    const TimeNs evt = sim.peek_next_time();
-    if (evt != sim::Simulator::kNoEvent && evt <= wake) {
-      sim.step();
-    } else if (wake != kNoArrival) {
-      // Idle gap: no event before the next arrival. Coast the clock to the
-      // arrival instead of treating the drained queue as a stuck job.
-      sim.run_until(wake);
-    } else {
-      report_stuck(sim, engines);
-    }
-    pump_all(engines);
-  }
-}
-
-bool drive_until(sim::Simulator& sim, std::span<IoEngine* const> engines, TimeNs until) {
-  if (!any_open_loop(engines)) {
-    sim.run_until(until);
-    return all_finished(engines);
-  }
-  while (true) {
-    pump_all(engines);
-    const TimeNs wake = min_wake(engines);
-    if (wake == kNoArrival || wake > until) break;
-    sim.run_until(wake);
-  }
-  sim.run_until(until);
-  pump_all(engines);
-  return all_finished(engines);
 }
 
 JobResult run_job(sim::Simulator& sim, sim::BlockDevice& device, const JobSpec& spec) {

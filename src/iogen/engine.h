@@ -6,7 +6,9 @@
 //                           engine, byte-identical);
 //                           open-loop: issue at ArrivalProcess / trace times
 //                           regardless of completions, so latency includes
-//                           queueing delay;
+//                           queueing delay. The arrival clock is one kernel
+//                           event per engine, so any way of advancing the
+//                           simulator issues the arrivals that fall due;
 //   pattern layer (WHAT)  — AccessPattern generates each (op, offset, bytes):
 //                           seq/rand/zipf, trace replay, or keyspace.
 //
@@ -30,32 +32,33 @@ namespace pas::iogen {
 class IoEngine {
  public:
   IoEngine(sim::Simulator& sim, sim::BlockDevice& device, JobSpec spec);
+  // Cancels the armed arrival wake, so the simulator may run on without the
+  // engine. IOs still in flight would complete into the destroyed engine:
+  // destroy an unfinished engine only with an empty pipe, or together with
+  // its simulator.
+  ~IoEngine();
+  IoEngine(const IoEngine&) = delete;
+  IoEngine& operator=(const IoEngine&) = delete;
 
   // Starts issuing; `on_done` fires once all in-flight IOs have completed
   // after a stop condition is reached.
   void start(std::function<void()> on_done);
 
+  // Never reverts to false once true.
   bool finished() const { return finished_; }
   const JobResult& result() const { return result_; }
   int in_flight() const { return in_flight_; }
   const JobSpec& spec() const { return spec_; }
 
-  // Open-loop support, consumed by drive()/drive_until():
-  bool open_loop() const { return spec_.arrival.kind != ArrivalKind::kClosedLoop; }
-  // Absolute simulation time this engine next needs the driver's attention
-  // (its next arrival, capped by its deadline); kNoArrival for closed-loop
-  // engines and once the arrival stream is exhausted. An engine whose wake
-  // time has passed has work pending in pump().
-  TimeNs next_wake() const;
-  // Issue every arrival due at or before now(). No-op for closed-loop
-  // engines. Safe to call at any time; the driver calls it after each
-  // simulator advance.
-  void pump();
-
   // Bytes handed to the device so far (diagnostics for stuck-job reports).
   std::uint64_t issued_bytes() const { return issued_bytes_; }
 
  private:
+  bool open_loop() const { return spec_.arrival.kind != ArrivalKind::kClosedLoop; }
+  // Open loop only: the wake event. Issues every arrival due at or before
+  // now(), then re-arms at the next arrival, capped by the deadline, unless
+  // no arrival is left.
+  void pump();
   bool limits_reached() const;
   TimeNs next_arrival() const;
   void issue(const PatternIo& io);
@@ -72,6 +75,8 @@ class IoEngine {
   JobResult result_;
   std::function<void()> on_done_;
 
+  // The armed pump() event of an open-loop engine; kInvalidEvent when none.
+  sim::Simulator::EventId wake_ = sim::Simulator::kInvalidEvent;
   TimeNs start_time_ = 0;
   TimeNs deadline_ = 0;
   std::uint64_t issued_bytes_ = 0;
@@ -84,23 +89,14 @@ class IoEngine {
 };
 
 // THE "advance the simulator until the jobs finish" loop: steps `sim` until
-// every started engine reports finished(). There is exactly one such loop in
-// the repo — run_job and core::Testbed both drive through it — so the
-// stop/drain semantics cannot diverge between the single-device and fleet
-// paths. Open-loop engines are woken at their arrival times, so an idle gap
-// between sparse arrivals (empty event queue, future arrival) advances the
-// clock to the next arrival rather than aborting. Aborts — naming each
-// unfinished engine, its in-flight count, and its issued bytes — only when
-// the queue drains with no pending arrival (a genuinely stuck job).
+// every engine reports finished(), closed and open loop alike. There is
+// exactly one such loop in the repo — run_job and core::Testbed::run_jobs
+// both drive through it — so the stop/drain semantics cannot diverge between
+// the single-device and fleet paths. Open-loop arrivals are ordinary kernel
+// events, so an idle gap between sparse arrivals is just a wait. Aborts —
+// naming each unfinished engine, its in-flight count, and its issued bytes —
+// only when the event queue drains first (a genuinely stuck job).
 void drive(sim::Simulator& sim, std::span<IoEngine* const> engines);
-
-// Epoch-bounded variant for barrier-stepped fleets: advances `sim` to
-// exactly `until` (events and arrivals at or before `until` fire, then the
-// clock lands on `until`), whether or not the jobs have finished. Returns
-// true once every engine reports finished(). Unlike drive(), a drained event
-// queue is not an error here — an all-idle shard simply coasts to the epoch
-// boundary.
-bool drive_until(sim::Simulator& sim, std::span<IoEngine* const> engines, TimeNs until);
 
 // Convenience: run one job to completion on a fresh simulator timeline,
 // returning the result. The simulator is advanced until the job finishes.

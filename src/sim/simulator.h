@@ -1,9 +1,11 @@
 // Discrete-event simulation kernel.
 //
-// The whole library runs on simulated time: devices, workload generators, and
-// the measurement rig all schedule callbacks here. Events with equal
-// timestamps fire in scheduling order (a monotonically increasing sequence
-// number breaks ties), which makes every run deterministic.
+// The whole library runs on simulated time: devices, workload generators
+// (open-loop arrivals included), and the measurement rig all schedule
+// callbacks here, so step() and run_until() advance everything and nothing
+// waits outside the queue. Events with equal timestamps fire in scheduling
+// order (a monotonically increasing sequence number breaks ties), the one
+// ordering rule, which makes every run deterministic.
 //
 // Internals (see DESIGN.md "Event-kernel internals"): callbacks live in a
 // paged slab of fixed-size slots recycled through a free list, EventIds carry
@@ -102,52 +104,6 @@ class Simulator {
 
   // Runs the next pending event, advancing time to it. Returns false if none.
   bool step() { return fire_next(std::numeric_limits<TimeNs>::max()); }
-
-  // Sentinel returned by peek_next_time() when no event is pending.
-  static constexpr TimeNs kNoEvent = std::numeric_limits<TimeNs>::max();
-
-  // Timestamp of the earliest pending event without firing it, or kNoEvent
-  // when the queue is empty. The open-loop drive pump uses this to decide
-  // whether the next thing to happen is a queued event or a workload arrival
-  // that only exists as generator state. Cancelled entries found at the queue
-  // fronts are dropped here exactly as fire_next would drop them, so a
-  // peek/step pair fires the same event a bare step() would.
-  TimeNs peek_next_time() {
-    for (;;) {
-      TimeNs top_t;
-      EventId top_id;
-      bool from_mono;
-      if (mono_size_ != 0) {
-        const MonoEntry& f = mono_[mono_head_];
-        if (heap_size_ != 0 &&
-            (heap_t_[0] < f.t ||
-             (heap_t_[0] == f.t && heap_meta_[0].seq < f.seq))) {
-          top_t = heap_t_[0];
-          top_id = heap_meta_[0].id;
-          from_mono = false;
-        } else {
-          top_t = f.t;
-          top_id = f.id;
-          from_mono = true;
-        }
-      } else {
-        if (heap_size_ == 0) return kNoEvent;
-        top_t = heap_t_[0];
-        top_id = heap_meta_[0].id;
-        from_mono = false;
-      }
-      if (slot(slot_of(top_id)).gen != gen_of(top_id)) {  // cancelled
-        if (from_mono) {
-          mono_pop_front();
-        } else {
-          heap_pop_root();
-        }
-        --stale_in_heap_;
-        continue;
-      }
-      return top_t;
-    }
-  }
 
   // Runs all events with timestamp <= t, then sets now() to exactly t.
   void run_until(TimeNs t) {

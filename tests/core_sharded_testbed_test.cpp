@@ -32,14 +32,15 @@ constexpr devices::DeviceId kTypes[] = {devices::DeviceId::kSsd1, devices::Devic
 
 // Builds an N-device fleet (cycling the paper's device types), runs one
 // batch of time-limited write jobs on every device, and returns the fleet
-// trace plus per-job byte counts.
+// trace plus per-job byte counts. A positive `advance_first` calls
+// advance() while the jobs are still queued, before run_jobs().
 struct FleetRun {
   power::PowerTrace trace;
   std::vector<std::uint64_t> bytes;
   TimeNs end = 0;
 };
 
-FleetRun run_fleet(FleetHost& host, std::size_t devices) {
+FleetRun run_fleet(FleetHost& host, std::size_t devices, TimeNs advance_first = 0) {
   for (std::size_t i = 0; i < devices; ++i) {
     host.add_device(kTypes[i % 3], 100 + i);
   }
@@ -51,6 +52,7 @@ FleetRun run_fleet(FleetHost& host, std::size_t devices) {
     jobs.push_back(host.add_job(spec, i));
   }
   host.start_rigs();
+  if (advance_first > 0) host.advance(advance_first);
   host.run_jobs();
   host.stop_rigs();
   FleetRun out;
@@ -71,16 +73,20 @@ void expect_bit_identical(const power::PowerTrace& a, const power::PowerTrace& b
 }
 
 // One shard IS a Testbed: same devices, same jobs, byte-identical trace and
-// results, regardless of the worker-pool size.
+// results, regardless of the worker-pool size. The second input calls
+// advance() with the jobs still queued: advance is run_epoch on both hosts,
+// so it starts them on both.
 TEST(ShardedTestbed, OneShardIsByteIdenticalToTestbed) {
-  Testbed plain;
-  const FleetRun expected = run_fleet(plain, 4);
-  for (const int workers : {1, 4}) {
-    ShardedTestbed sharded(1, workers);
-    const FleetRun actual = run_fleet(sharded, 4);
-    EXPECT_EQ(actual.bytes, expected.bytes);
-    EXPECT_EQ(actual.end, expected.end);
-    expect_bit_identical(actual.trace, expected.trace);
+  for (const TimeNs advance_first : {TimeNs{0}, milliseconds(50)}) {
+    Testbed plain;
+    const FleetRun expected = run_fleet(plain, 4, advance_first);
+    for (const int workers : {1, 4}) {
+      ShardedTestbed sharded(1, workers);
+      const FleetRun actual = run_fleet(sharded, 4, advance_first);
+      EXPECT_EQ(actual.bytes, expected.bytes) << "advance_first=" << advance_first;
+      EXPECT_EQ(actual.end, expected.end) << "advance_first=" << advance_first;
+      expect_bit_identical(actual.trace, expected.trace);
+    }
   }
 }
 

@@ -203,6 +203,39 @@ TEST(Testbed, SingleDeviceRunIsReproducible) {
   EXPECT_EQ(a.second, b.second);
 }
 
+// Open-loop arrivals are kernel events, so where the epochs fall cannot
+// change what a job sees: arrivals due during an advance() are issued on
+// time, not in one burst when the next epoch starts.
+TEST(Testbed, OpenLoopResultsIgnoreEpochBoundaries) {
+  auto run = [](bool split) {
+    Testbed testbed;
+    const std::size_t d = testbed.add_device(devices::DeviceId::kSsd2, 7);
+    iogen::JobSpec spec;
+    spec.pattern = iogen::Pattern::kRandom;
+    spec.op = iogen::OpKind::kRead;
+    spec.block_bytes = 4096;
+    spec.io_limit_bytes = 0;
+    spec.time_limit = seconds(1);
+    spec.arrival.kind = iogen::ArrivalKind::kPoisson;
+    spec.arrival.rate_iops = 2000.0;
+    spec.slo_latency = microseconds(200);
+    const std::size_t j = testbed.add_job(spec, d);
+    if (split) {
+      EXPECT_FALSE(testbed.run_epoch(milliseconds(300)));
+      testbed.advance(milliseconds(400));
+    }
+    EXPECT_TRUE(testbed.run_epoch(seconds(2)));
+    return testbed.job_result(j);
+  };
+  const iogen::JobResult straight = run(false);
+  const iogen::JobResult split = run(true);
+  ASSERT_GT(straight.ios, 1800u);
+  EXPECT_EQ(split.ios, straight.ios);
+  EXPECT_EQ(split.latency.mean_ns(), straight.latency.mean_ns());
+  EXPECT_EQ(split.latency.p99_ns(), straight.latency.p99_ns());
+  EXPECT_EQ(split.slo_violations, straight.slo_violations);
+}
+
 // Regression: take_fleet_trace() must leave the testbed in a valid,
 // reusable state (every rig holds a fresh empty trace after the move), so a
 // phased scenario can take, run another phase, and take again — and a

@@ -244,7 +244,7 @@ JobSpec poisson_read_spec(double rate_iops, TimeNs duration) {
 }
 
 TEST(OpenLoopEngine, PoissonJobIsDeterministic) {
-  JobResult a, b;
+  JobResult a, b, c;
   {
     sim::Simulator sim;
     FakePowerDevice dev(sim);
@@ -255,17 +255,53 @@ TEST(OpenLoopEngine, PoissonJobIsDeterministic) {
     FakePowerDevice dev(sim);
     b = run_job(sim, dev, poisson_read_spec(2000.0, seconds(2)));
   }
+  {
+    // No drive loop at all: arrivals are kernel events, so a plain
+    // run_until issues them and finishes the job exactly like run_job.
+    sim::Simulator sim;
+    FakePowerDevice dev(sim);
+    IoEngine engine(sim, dev, poisson_read_spec(2000.0, seconds(2)));
+    engine.start(nullptr);
+    sim.run_until(seconds(3));
+    EXPECT_TRUE(engine.finished());
+    c = engine.result();
+  }
   EXPECT_EQ(a.ios, b.ios);
   EXPECT_EQ(a.bytes, b.bytes);
   EXPECT_EQ(a.elapsed, b.elapsed);
+  EXPECT_EQ(c.ios, a.ios);
+  EXPECT_EQ(c.bytes, a.bytes);
+  EXPECT_EQ(c.elapsed, a.elapsed);
   // ~2000/s for 2 s; Poisson counts concentrate tightly at this n.
   EXPECT_NEAR(static_cast<double>(a.ios), 4000.0, 300.0);
 }
 
+TEST(OpenLoopEngine, DestroyedEngineLeavesNoArmedWake) {
+  // An engine that goes away mid-job must take its arrival wake with it:
+  // the simulator runs on, and a wake left behind would call into the
+  // destroyed engine.
+  sim::Simulator sim;
+  FakePowerDevice dev(sim);
+  int issued = 0;
+  {
+    IoEngine engine(sim, dev, poisson_read_spec(2000.0, seconds(2)));
+    engine.start(nullptr);
+    sim.run_until(milliseconds(100));
+    while (engine.in_flight() > 0) ASSERT_TRUE(sim.step());
+    ASSERT_FALSE(engine.finished());
+    issued = dev.submitted();
+    ASSERT_GT(issued, 0);
+    EXPECT_EQ(sim.pending_events(), 1u);  // the armed wake, nothing else
+  }
+  EXPECT_EQ(sim.pending_events(), 0u);
+  sim.run_until(seconds(3));
+  EXPECT_EQ(dev.submitted(), issued);
+}
+
 TEST(OpenLoopEngine, IdleGapsAdvanceInsteadOfAborting) {
-  // One short burst every 5 s: between bursts the simulator's queue is
-  // completely drained, which the closed-loop driver would report as a
-  // stuck engine. The open-loop driver must jump to the next arrival.
+  // One short burst every 5 s: between bursts no IO is in flight and the
+  // engine's arrival wake is the only pending event. The driver must wait
+  // for it, not report the idle gap as a stuck engine.
   sim::Simulator sim;
   FakePowerDevice dev(sim);
   JobSpec s;
@@ -283,6 +319,36 @@ TEST(OpenLoopEngine, IdleGapsAdvanceInsteadOfAborting) {
   const JobResult r = run_job(sim, dev, s);
   EXPECT_GT(r.ios, 0u);
   EXPECT_GE(sim.now(), seconds(11));
+}
+
+// A device that accepts every IO and never completes one.
+class BlackHoleDevice : public FakePowerDevice {
+ public:
+  using FakePowerDevice::FakePowerDevice;
+  void submit(const sim::IoRequest&, sim::IoCallback) override {}
+};
+
+// The armed wake must not hide a stuck job: once the open-loop job's
+// deadline passes, no wake is left, the queue drains, and drive() names the
+// job — just as it does for a closed-loop job.
+TEST(OpenLoopEngineDeathTest, StuckJobAbortsNamingTheEngine) {
+  JobSpec closed;
+  closed.pattern = Pattern::kSequential;
+  closed.op = OpKind::kRead;
+  closed.block_bytes = 4096;
+  closed.region_bytes = 1 * GiB;
+  closed.iodepth = 4;
+  JobSpec open = poisson_read_spec(2000.0, milliseconds(10));
+  for (const JobSpec& spec : {closed, open}) {
+    EXPECT_DEATH(
+        {
+          sim::Simulator sim;
+          BlackHoleDevice dev(sim);
+          run_job(sim, dev, spec);
+        },
+        "unfinished engines:\n  \\[" + spec.label() + "\\] in_flight=[1-9]")
+        << spec.label();
+  }
 }
 
 TEST(SloAccounting, CountsCompletionsSlowerThanTheTarget) {
