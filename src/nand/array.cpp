@@ -12,10 +12,8 @@ NandArray::NandArray(sim::Simulator& sim, const NandConfig& config, std::uint64_
   PAS_CHECK(config_.channels > 0);
   PAS_CHECK(config_.dies_per_channel > 0);
   PAS_CHECK(config_.channel_mib_s > 0.0);
-  // Built whole rather than resize()d: Die/Channel hold deques of move-only
-  // callbacks, and vector::resize would need move_if_noexcept relocation.
-  dies_ = std::vector<Die>(static_cast<std::size_t>(config_.total_dies()));
-  channels_ = std::vector<Channel>(static_cast<std::size_t>(config_.channels));
+  dies_.resize(static_cast<std::size_t>(config_.total_dies()));
+  channels_.resize(static_cast<std::size_t>(config_.channels));
 }
 
 Watts NandArray::jittered(Watts nominal) {
@@ -31,7 +29,7 @@ TimeNs NandArray::transfer_time(std::uint32_t bytes) const {
   return std::max<TimeNs>(1, seconds(secs));
 }
 
-void NandArray::submit(NandOp op) {
+void NandArray::submit(NandOp&& op) {
   PAS_CHECK(op.die >= 0 && op.die < config_.total_dies());
   PAS_CHECK(op.done != nullptr);
   if (op.kind == OpKind::kErase) {
@@ -41,15 +39,32 @@ void NandArray::submit(NandOp op) {
     PAS_CHECK(op.transfer_bytes <= config_.stripe_bytes());
   }
   ++outstanding_;
-  auto& die = dies_[static_cast<std::size_t>(op.die)];
   const int die_idx = op.die;
-  if (op.priority && die.busy) {
+  const bool priority = op.priority;
+  const std::uint32_t slot = alloc_slot(std::move(op));
+  auto& die = dies_[static_cast<std::size_t>(die_idx)];
+  if (priority && die.busy) {
     // Behind the in-flight op (front) but ahead of everything queued.
-    die.queue.insert_second(std::move(op));
+    die.queue.insert_second(slot);
   } else {
-    die.queue.push_back(std::move(op));
+    die.queue.push_back(slot);
   }
   if (!die.busy) start_next(die_idx);
+}
+
+std::uint32_t NandArray::alloc_slot(NandOp&& op) {
+  if (free_slots_.empty()) {
+    slots_.push_back(std::move(op));
+    return static_cast<std::uint32_t>(slots_.size() - 1);
+  }
+  const std::uint32_t slot = free_slots_.back();
+  free_slots_.pop_back();
+  slots_[slot] = std::move(op);
+  return slot;
+}
+
+void NandArray::schedule_event(TimeNs delay, int die_idx) {
+  sim_.schedule_after(delay, [this, die_idx] { on_event(die_idx); });
 }
 
 void NandArray::start_next(int die_idx) {
@@ -58,72 +73,68 @@ void NandArray::start_next(int die_idx) {
   if (die.queue.empty()) return;
   die.busy = true;
   ++busy_dies_;
-  run_op(die_idx);
-}
-
-void NandArray::run_op(int die_idx) {
-  auto& die = dies_[static_cast<std::size_t>(die_idx)];
-  const NandOp& op = die.queue.front();
-  const int ch = channel_of(die_idx);
-
-  auto finish = [this, die_idx] {
-    auto& d = dies_[static_cast<std::size_t>(die_idx)];
-    NandOp done_op = std::move(d.queue.front());
-    d.queue.pop_front();
-    d.busy = false;
-    --busy_dies_;
-    ++completed_ops_;
-    --outstanding_;
-    set_die_draw(die_idx, 0.0, false);
-    // Complete the op before starting the next so completion-driven
-    // submissions interleave fairly.
-    done_op.done();
-    if (!d.busy) start_next(die_idx);
-  };
-
-  switch (op.kind) {
-    case OpKind::kRead: {
-      set_die_draw(die_idx, jittered(config_.p_die_read_w), true);
-      sim_.schedule_after(config_.t_read, [this, die_idx, ch, finish] {
-        set_die_draw(die_idx, 0.0, true);  // sense done; wait for the channel
-        acquire_channel(ch, [this, die_idx, ch, finish] {
-          const auto& cur = dies_[static_cast<std::size_t>(die_idx)].queue.front();
-          transferred_bytes_ += cur.transfer_bytes;
-          sim_.schedule_after(transfer_time(cur.transfer_bytes), [this, ch, finish] {
-            release_channel(ch);
-            finish();
-          });
-        });
-      });
-      break;
-    }
-    case OpKind::kProgram: {
-      acquire_channel(ch, [this, die_idx, ch, finish] {
-        const auto& cur = dies_[static_cast<std::size_t>(die_idx)].queue.front();
-        transferred_bytes_ += cur.transfer_bytes;
-        sim_.schedule_after(transfer_time(cur.transfer_bytes), [this, die_idx, ch, finish] {
-          release_channel(ch);
-          set_die_draw(die_idx, jittered(config_.p_die_program_w), true);
-          sim_.schedule_after(config_.t_program, [this, die_idx, finish] {
-            set_die_draw(die_idx, 0.0, true);
-            finish();
-          });
-        });
-      });
-      break;
-    }
-    case OpKind::kErase: {
-      set_die_draw(die_idx, jittered(config_.p_die_erase_w), true);
-      sim_.schedule_after(config_.t_erase, [this, die_idx, finish] {
-        set_die_draw(die_idx, 0.0, true);
-        finish();
-      });
-      break;
-    }
+  switch (slots_[die.queue.front()].kind) {
+    case OpKind::kRead:
+      die.stage = Stage::kSense;
+      set_die_draw(die_idx, jittered(config_.p_die_read_w));
+      schedule_event(config_.t_read, die_idx);
+      return;
+    case OpKind::kProgram:
+      die.stage = Stage::kProgramTransfer;
+      acquire_channel(die_idx);
+      return;
+    case OpKind::kErase:
+      die.stage = Stage::kErase;
+      set_die_draw(die_idx, jittered(config_.p_die_erase_w));
+      schedule_event(config_.t_erase, die_idx);
+      return;
   }
 }
 
-void NandArray::set_die_draw(int die_idx, Watts w, bool /*busy*/) {
+void NandArray::on_event(int die_idx) {
+  auto& die = dies_[static_cast<std::size_t>(die_idx)];
+  switch (die.stage) {
+    case Stage::kSense:  // sense done; wait for the channel
+      set_die_draw(die_idx, 0.0);
+      die.stage = Stage::kReadTransfer;
+      acquire_channel(die_idx);
+      return;
+    case Stage::kReadTransfer:
+      release_channel(channel_of(die_idx));
+      finish(die_idx);
+      return;
+    case Stage::kProgramTransfer:
+      release_channel(channel_of(die_idx));
+      die.stage = Stage::kProgram;
+      set_die_draw(die_idx, jittered(config_.p_die_program_w));
+      schedule_event(config_.t_program, die_idx);
+      return;
+    case Stage::kProgram:
+    case Stage::kErase:
+      set_die_draw(die_idx, 0.0);
+      finish(die_idx);
+      return;
+  }
+}
+
+void NandArray::finish(int die_idx) {
+  auto& die = dies_[static_cast<std::size_t>(die_idx)];
+  const std::uint32_t slot = die.queue.front();
+  die.queue.pop_front();
+  die.busy = false;
+  --busy_dies_;
+  ++completed_ops_;
+  --outstanding_;
+  // Free the slot before the completion runs: it may submit into it.
+  sim::UniqueCallback done = std::move(slots_[slot].done);
+  free_slots_.push_back(slot);
+  // Complete the op before starting the next so completion-driven
+  // submissions interleave fairly.
+  done();
+  if (!die.busy) start_next(die_idx);
+}
+
+void NandArray::set_die_draw(int die_idx, Watts w) {
   auto& die = dies_[static_cast<std::size_t>(die_idx)];
   if (die.draw == w) return;
   power_ += w - die.draw;
@@ -131,27 +142,35 @@ void NandArray::set_die_draw(int die_idx, Watts w, bool /*busy*/) {
   recompute_power();
 }
 
-void NandArray::acquire_channel(int ch, sim::UniqueCallback go) {
-  auto& channel = channels_[static_cast<std::size_t>(ch)];
+void NandArray::acquire_channel(int die_idx) {
+  auto& channel = channels_[static_cast<std::size_t>(channel_of(die_idx))];
   if (channel.busy) {
-    channel.waiters.push_back(std::move(go));
+    channel.waiters.push_back(die_idx);
     return;
   }
   channel.busy = true;
   ++busy_channels_;
   power_ += config_.p_channel_xfer_w;
   recompute_power();
-  go();
+  start_transfer(die_idx);
+}
+
+void NandArray::start_transfer(int die_idx) {
+  const auto& die = dies_[static_cast<std::size_t>(die_idx)];
+  const std::uint32_t bytes = slots_[die.queue.front()].transfer_bytes;
+  transferred_bytes_ += bytes;
+  schedule_event(transfer_time(bytes), die_idx);
 }
 
 void NandArray::release_channel(int ch) {
   auto& channel = channels_[static_cast<std::size_t>(ch)];
   PAS_CHECK(channel.busy);
   if (!channel.waiters.empty()) {
-    auto go = std::move(channel.waiters.front());
+    const int next = channel.waiters.front();
     channel.waiters.pop_front();
-    // Channel stays busy (power unchanged); hand it to the next transfer.
-    go();
+    // Channel stays busy (power unchanged); hand it to the next transfer
+    // before the releasing die moves on.
+    start_transfer(next);
     return;
   }
   channel.busy = false;

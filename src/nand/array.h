@@ -33,8 +33,8 @@ struct NandOp {
   // Priority ops (GC reclaim) jump ahead of queued host ops on their die, as
   // firmware must reclaim space promptly even under host write floods.
   bool priority = false;
-  // Fires when the op fully completes. Move-only with inline storage: ops
-  // carry their completion through the die/channel pipeline by relocation.
+  // Fires when the op fully completes. The array moves it out of the op's
+  // slot, and frees the slot, before invoking it.
   sim::UniqueCallback done;
 };
 
@@ -43,7 +43,9 @@ class NandArray {
   NandArray(sim::Simulator& sim, const NandConfig& config, std::uint64_t seed = 1);
 
   // Enqueues an operation on its die. Ops on one die execute in FIFO order.
-  void submit(NandOp op);
+  // The op is moved into a pooled slot once and stays there until it
+  // completes.
+  void submit(NandOp&& op);
 
   // Ground-truth instantaneous draw of dies + channels.
   Watts instantaneous_power() const { return power_; }
@@ -64,13 +66,18 @@ class NandArray {
   std::size_t outstanding() const { return outstanding_; }
 
  private:
+  // What a busy die's in-flight op (its queue's front) waits on. A transfer
+  // stage is entered when the die asks for its channel, so it covers both
+  // the wait for the channel and the transfer itself.
+  enum class Stage : std::uint8_t { kSense, kReadTransfer, kProgramTransfer, kProgram, kErase };
   struct Die {
-    sim::RingQueue<NandOp> queue;
+    sim::RingQueue<std::uint32_t> queue;  // slot indices; front is in flight while busy
+    Stage stage = Stage::kSense;
     bool busy = false;
     Watts draw = 0.0;
   };
   struct Channel {
-    sim::RingQueue<sim::UniqueCallback> waiters;  // transfer-start continuations
+    sim::RingQueue<int> waiters;  // dies waiting to transfer, FIFO
     bool busy = false;
   };
 
@@ -79,10 +86,16 @@ class NandArray {
   // Per-op power with the configured variation applied.
   Watts jittered(Watts nominal);
 
+  std::uint32_t alloc_slot(NandOp&& op);
+  // Every event the array schedules is [this, die] { on_event(die); }, and
+  // on_event ends the die's current stage and enters the next one.
+  void schedule_event(TimeNs delay, int die_idx);
+  void on_event(int die_idx);
   void start_next(int die_idx);
-  void run_op(int die_idx);
-  void set_die_draw(int die_idx, Watts w, bool busy);
-  void acquire_channel(int ch, sim::UniqueCallback go);
+  void finish(int die_idx);
+  void set_die_draw(int die_idx, Watts w);
+  void acquire_channel(int die_idx);
+  void start_transfer(int die_idx);
   void release_channel(int ch);
   void recompute_power();
 
@@ -91,6 +104,10 @@ class NandArray {
   Rng rng_;
   std::vector<Die> dies_;
   std::vector<Channel> channels_;
+  // Slot table: every queued or in-flight op, recycled through a LIFO free
+  // list, so it grows to the peak number outstanding and then stays put.
+  std::vector<NandOp> slots_;
+  std::vector<std::uint32_t> free_slots_;
   std::function<void()> on_power_change_;
   Watts power_ = 0.0;
   int busy_dies_ = 0;

@@ -16,10 +16,10 @@
 // (8 + 24 + 8 + 32 = 72 with the 32-byte IoCallback); IoCallback uses a
 // 24-byte buffer so its footprint matches the libstdc++ std::function it
 // replaced. Smaller captures — the SSD's pooled-context stages
-// ({this, ctx*}, 16 B), the NandArray die/channel chains (32 B), bare [this]
-// lambdas (8 B) — fit with room to spare. Callables that are larger,
-// over-aligned, or throwing-move fall back to a single heap allocation, so
-// arbitrary captures stay correct, just slower.
+// ({this, ctx*}, 16 B), the NandArray's per-die events ({this, die}, 16 B),
+// bare [this] lambdas (8 B) — fit with room to spare. Callables that are
+// larger, over-aligned, or throwing-move fall back to a single heap
+// allocation, so arbitrary captures stay correct, just slower.
 #pragma once
 
 #include <cstddef>

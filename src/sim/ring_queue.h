@@ -1,10 +1,12 @@
-// Never-shrinking circular FIFO for the datapath's waiter queues.
+// Never-shrinking circular FIFO for the datapath's waiter queues, from
+// callbacks of 80 B and more (resource and governor waiters) down to 4 B
+// indices (NAND die queues and channel waiters).
 //
-// std::deque allocates a 512 B map chunk every few pushes when its size
-// oscillates across a chunk boundary — with 80 B callbacks that is one heap
-// round trip per ~6 operations, which dominates the flat datapath's otherwise
-// allocation-free steady state. This queue doubles to its peak capacity once
-// and then recycles slots forever.
+// std::deque allocates a 512 B chunk every few pushes when its size
+// oscillates across a chunk boundary — every ~6 pushes for an 80 B callback —
+// which would dominate the datapath's otherwise allocation-free steady
+// state. This queue doubles to its peak capacity once and then recycles
+// slots forever.
 //
 // T must be default-constructible and move-assignable. References returned by
 // front()/back()/operator[] are invalidated by any push (growth reallocates).

@@ -20,7 +20,7 @@ SsdDevice::SsdDevice(sim::Simulator& sim, SsdConfig config, std::uint64_t seed)
       buffered_(config_.capacity_bytes / config_.sector_bytes) {
   PAS_CHECK(config_.capacity_bytes % config_.sector_bytes == 0);
   ftl_ = std::make_unique<Ftl>(
-      config_, [this](nand::NandOp op) { issue_nand(std::move(op)); },
+      config_, [this](nand::NandOp&& op) { issue_nand(std::move(op)); },
       [this](TimeNs delay, sim::UniqueCallback fn) { sim_.schedule_after(delay, std::move(fn)); },
       rng_.fork());
   nand_.set_power_listener([this] { update_power(); });
@@ -412,7 +412,7 @@ Joules SsdDevice::nand_op_energy(const nand::NandOp& op) const {
   return 0.0;
 }
 
-void SsdDevice::issue_nand(nand::NandOp op) {
+void SsdDevice::issue_nand(nand::NandOp&& op) {
   const Joules cost = nand_op_energy(op);
   // Fast path: an uncapped or credit-rich governor admits synchronously.
   if (governor_.try_admit(cost, op.priority)) {
@@ -433,10 +433,9 @@ void SsdDevice::issue_nand(nand::NandOp op) {
 }
 
 void SsdDevice::submit_parked(ParkedOp* slot) {
-  nand::NandOp op = std::move(slot->op);
+  nand_.submit(std::move(slot->op));
   slot->next_free = parked_free_;
   parked_free_ = slot;
-  nand_.submit(std::move(op));
 }
 
 void SsdDevice::wake_then(sim::UniqueCallback work) {

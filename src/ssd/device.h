@@ -144,7 +144,7 @@ class SsdDevice : public sim::BlockDevice, public sim::PowerManageable {
   void arm_destage_timer();
   void check_flush_waiters();
 
-  void issue_nand(nand::NandOp op);
+  void issue_nand(nand::NandOp&& op);
   void submit_parked(ParkedOp* slot);
   Joules nand_op_energy(const nand::NandOp& op) const;
   void schedule_bg_activity();

@@ -336,20 +336,27 @@ void Ftl::fanin_complete(std::uint32_t idx) {
 // same page. Kept in insertion order: NAND ops must issue in a portable,
 // deterministic order (hash-map iteration order is stdlib-specific, and
 // issue order decides both the per-op power-jitter RNG pairing and
-// same-timestamp event sequence). Linear scan: a host read is at most a few
-// dozen pages, and callers with sorted ppns hit the check-last fast path.
+// same-timestamp event sequence). A host read's ppns arrive in any order, so
+// a unit on a new page scans the whole list, newest entry first: a host read
+// is at most a few dozen pages, and consecutive units mostly share a page.
 void Ftl::add_page_unit(std::uint64_t key, int die) {
-  if (!pages_scratch_.empty() && pages_scratch_.back().key == key) {
-    pages_scratch_.back().units += 1;
-    return;
-  }
-  for (auto& p : pages_scratch_) {
-    if (p.key == key) {
-      p.units += 1;
+  for (auto p = pages_scratch_.rbegin(); p != pages_scratch_.rend(); ++p) {
+    if (p->key == key) {
+      p->units += 1;
       return;
     }
   }
   pages_scratch_.push_back(PageRef{key, die, 1});
+}
+
+// add_page_unit for keys that arrive in ascending order: a unit's page is
+// the last one added or a new one, so nothing before the last entry is read.
+void Ftl::append_page_unit(std::uint64_t key, int die) {
+  if (!pages_scratch_.empty() && pages_scratch_.back().key == key) {
+    pages_scratch_.back().units += 1;
+  } else {
+    pages_scratch_.push_back(PageRef{key, die, 1});
+  }
 }
 
 // Coalesces one mapping unit into pages_scratch_; unmapped units optionally
@@ -539,15 +546,15 @@ void Ftl::start_move() {
   PAS_CHECK(blk.valid > 0);  // dead blocks go through the erase pipeline
   // Snapshot the valid units, then read the pages that hold them. The scan
   // walks the block's bitmap a word at a time in ascending ppn order, so
-  // page coalescing always hits the check-last fast path and the page list
-  // comes out insertion-ordered (ascending page), not hash-iteration-ordered.
+  // each page coalesces against the last entry alone, and the page list
+  // comes out in ascending page order: one pass over the victim.
   std::vector<MovePair> pairs = gc_vec_take();
   pairs.reserve(blk.valid);
   pages_scratch_.clear();
   const int die = die_of_block(victim);
   for_each_valid(block_first_ppn(victim), units_per_block_, [&](std::uint32_t ppn) {
     pairs.emplace_back(rmap_[ppn], ppn);
-    add_page_unit(page_of(ppn), die);
+    append_page_unit(page_of(ppn), die);
   });
   const std::uint32_t fanin =
       fanin_create(pages_scratch_.size(), [this, pairs = std::move(pairs), victim]() mutable {

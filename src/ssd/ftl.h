@@ -45,7 +45,7 @@ struct FtlStats {
 
 class Ftl {
  public:
-  using IssueNand = sim::UniqueFunction<void(nand::NandOp)>;
+  using IssueNand = sim::UniqueFunction<void(nand::NandOp&&)>;
   // Schedules a callback after a simulated delay (provided by the device, so
   // the FTL can pace lazy GC without holding a simulator reference). The
   // callback is a sim::UniqueCallback so the device's trampoline hands it to
@@ -174,6 +174,7 @@ class Ftl {
     std::uint32_t units;
   };
   void add_page_unit(std::uint64_t key, int die);
+  void append_page_unit(std::uint64_t key, int die);
   void add_read_unit(std::uint64_t lpn);
   void issue_page_reads(sim::UniqueCallback done);
 

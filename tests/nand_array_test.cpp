@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include "common/units.h"
@@ -193,6 +195,133 @@ TEST(NandArray, ThroughputSaturatesAtChannelRate) {
   EXPECT_LE(rate, cfg.channel_mib_s * 1.01);
   // With transfers pipelined against programs, we should get close to it.
   EXPECT_GE(rate, cfg.channel_mib_s * 0.8);
+}
+
+// Transfer times below are exact: at 1024 MiB/s a 4/16/32/64 KiB transfer
+// takes 2^-18/2^-16/2^-15/2^-14 s, which the array truncates to 3 814,
+// 15 258, 30 517 and 61 035 ns.
+
+TEST(NandArray, PriorityOpRunsBehindTheInFlightOpAheadOfQueuedOnes) {
+  sim::Simulator sim;
+  const auto cfg = small_config();
+  NandArray array(sim, cfg);
+  std::vector<std::pair<int, TimeNs>> done;
+  auto erase = [&](int id, bool priority) {
+    array.submit({OpKind::kErase, 0, 0, priority, [&done, &sim, id] {
+                    done.emplace_back(id, sim.now());
+                  }});
+  };
+  erase(0, false);  // in flight from t = 0
+  erase(1, false);
+  erase(2, false);
+  erase(3, true);
+  sim.run_to_completion();
+  const TimeNs e = cfg.t_erase;
+  const std::vector<std::pair<int, TimeNs>> expect{{0, e}, {3, 2 * e}, {1, 3 * e}, {2, 4 * e}};
+  EXPECT_EQ(done, expect);
+}
+
+TEST(NandArray, ReleasedChannelStartsItsWaiterBeforeTheReleasingDieMovesOn) {
+  // Dies 0 and 1 share channel 0. Die 1's program waits for die 0's
+  // transfer; when it gets the channel, its transfer ends at the same
+  // instant as die 0's program. The waiter's transfer was scheduled first,
+  // so its event fires first: by the time die 0's op completes, the channel
+  // is free and die 1 is programming.
+  sim::Simulator sim;
+  auto cfg = small_config();
+  cfg.t_program = 15258;  // one 16 KiB transfer
+  NandArray array(sim, cfg);
+  TimeNs first_done = -1;
+  int channels_at_first = -1;
+  Watts power_at_first = -1.0;
+  TimeNs second_done = -1;
+  array.submit({OpKind::kProgram, 0, 64 * KiB, false, [&] {
+                  first_done = sim.now();
+                  channels_at_first = array.busy_channels();
+                  power_at_first = array.instantaneous_power();
+                }});
+  array.submit({OpKind::kProgram, 1, 16 * KiB, false, [&] { second_done = sim.now(); }});
+  sim.run_to_completion();
+  EXPECT_EQ(first_done, 61035 + 15258);
+  EXPECT_EQ(channels_at_first, 0);
+  EXPECT_DOUBLE_EQ(power_at_first, cfg.p_die_program_w);
+  EXPECT_EQ(second_done, 61035 + 2 * 15258);
+}
+
+TEST(NandArray, ReleasedChannelStartsItsWaiterBeforeAReadCompletes) {
+  // Die 1 asks for the channel during die 0's read transfer [70000, 85258).
+  // The read hands the channel on before its completion runs.
+  sim::Simulator sim;
+  NandArray array(sim, small_config());
+  TimeNs read_done = -1;
+  std::uint64_t bytes_at_read_done = 0;
+  array.submit({OpKind::kRead, 0, 16 * KiB, false, [&] {
+                  read_done = sim.now();
+                  bytes_at_read_done = array.transferred_bytes();
+                }});
+  sim.schedule_at(75000, [&] { array.submit({OpKind::kProgram, 1, 64 * KiB, false, [] {}}); });
+  sim.run_to_completion();
+  EXPECT_EQ(read_done, 70000 + 15258);
+  EXPECT_EQ(bytes_at_read_done, 80 * KiB);
+}
+
+TEST(NandArray, CompletionResubmittingToItsOwnDieRunsBackToBack) {
+  // Each completion submits the next program to the die it just freed, into
+  // the slot it just vacated; the die and the channel are idle by then, so
+  // op k completes at exactly k * (transfer + program).
+  sim::Simulator sim;
+  const auto cfg = small_config();
+  NandArray array(sim, cfg);
+  constexpr std::size_t kOps = 64;
+  std::vector<TimeNs> done;
+  std::function<void()> complete;
+  auto submit = [&] { array.submit({OpKind::kProgram, 0, 16 * KiB, false, [&] { complete(); }}); };
+  complete = [&] {
+    done.push_back(sim.now());
+    EXPECT_EQ(array.outstanding(), 0u);
+    if (done.size() < kOps) submit();
+  };
+  submit();
+  sim.run_to_completion();
+  ASSERT_EQ(done.size(), kOps);
+  for (std::size_t k = 0; k < kOps; ++k) {
+    EXPECT_EQ(done[k], static_cast<TimeNs>(k + 1) * (15258 + cfg.t_program)) << "op " << k;
+  }
+  EXPECT_EQ(array.completed_ops(), kOps);
+}
+
+TEST(NandArray, MixedOpsOnOneChannelCompleteAtPinnedTimes) {
+  // All six ops are submitted at t = 0 to the two dies of channel 0:
+  //   die 1: program 64 KiB, transfer [0, 61035), program to 661035.
+  //   die 0: read 16 KiB, sense to 50000, then waits for the channel, and
+  //          transfers [61035, 76293) once die 1 releases it.
+  //   die 0: program 32 KiB, transfer [76293, 106810), program to 706810.
+  //   die 1: read 4 KiB, sense [661035, 711035), transfer to 714849.
+  //   die 0: erase [706810, 3706810).
+  //   die 1: program 16 KiB, transfer [714849, 730107), program to 1330107.
+  sim::Simulator sim;
+  auto cfg = small_config();
+  cfg.t_read = microseconds(50);
+  NandArray array(sim, cfg);
+  std::vector<std::pair<int, TimeNs>> done;
+  auto op = [&](int id, OpKind kind, int die, std::uint32_t bytes) {
+    array.submit({kind, die, bytes, false, [&done, &sim, id] {
+                    done.emplace_back(id, sim.now());
+                  }});
+  };
+  op(1, OpKind::kProgram, 1, 64 * KiB);
+  op(2, OpKind::kRead, 0, 16 * KiB);
+  op(3, OpKind::kProgram, 0, 32 * KiB);
+  op(4, OpKind::kRead, 1, 4 * KiB);
+  op(5, OpKind::kErase, 0, 0);
+  op(6, OpKind::kProgram, 1, 16 * KiB);
+  sim.run_to_completion();
+  const std::vector<std::pair<int, TimeNs>> expect{
+      {2, 76293}, {1, 661035}, {3, 706810}, {4, 714849}, {6, 1330107}, {5, 3706810}};
+  EXPECT_EQ(done, expect);
+  EXPECT_EQ(array.transferred_bytes(), 132 * KiB);
+  EXPECT_EQ(array.busy_channels(), 0);
+  EXPECT_DOUBLE_EQ(array.instantaneous_power(), 0.0);
 }
 
 TEST(NandArray, InvalidOpsAbort) {

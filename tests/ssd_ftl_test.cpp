@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -49,13 +51,17 @@ struct FtlHarness {
   int reads = 0;
   int programs = 0;
   int erases = 0;
+  std::vector<std::pair<int, std::uint32_t>> gc_reads;  // (die, bytes), in issue order
   Ftl ftl;
 
   explicit FtlHarness(SsdConfig config = small_config())
       : ftl(config,
             [this](nand::NandOp op) {
               switch (op.kind) {
-                case nand::OpKind::kRead: ++reads; break;
+                case nand::OpKind::kRead:
+                  ++reads;
+                  if (op.priority) gc_reads.emplace_back(op.die, op.transfer_bytes);
+                  break;
                 case nand::OpKind::kProgram: ++programs; break;
                 case nand::OpKind::kErase: ++erases; break;
               }
@@ -352,6 +358,40 @@ TEST(Ftl, UnmappedReadsOnTablesFirstBuiltByARead) {
   h.read_lpns({0, 1, 2, 3, 4, 5, 6, 7, 8}, [] {});
   h.sim.run_to_completion();
   EXPECT_EQ(h.reads, 3);  // the stripe's two pages and lpn 8's pseudo page
+}
+
+// A GC move reads each page that holds the victim's valid units once, sized
+// to that page's units, in ascending page order. Preconditioning maps stripe
+// k (lpns 8k to 8k + 7) to die k % 4, so die 0's first block holds stripes 0,
+// 4, ..., 60 in order, and its page p holds lpns 32 * (p / 2) + 4 * (p % 2)
+// + {0, 1, 2, 3}. Overwriting all but p % 5 units of each page leaves that
+// block 61 valid units; every other sealed block is full, so it is the one
+// block a move can gain space from.
+TEST(Ftl, GcMoveReadsEachVictimPageOnce) {
+  SsdConfig cfg = small_config();
+  cfg.gc_low_watermark_blocks = 9;  // above the 8 blocks preconditioning leaves free
+  cfg.gc_high_watermark_blocks = 10;
+  FtlHarness h(cfg);
+  h.ftl.precondition_sequential();
+  std::vector<std::uint64_t> stale;
+  std::vector<std::pair<int, std::uint32_t>> expect;
+  std::uint64_t survivors = 0;
+  for (std::uint32_t p = 0; p < 32; ++p) {
+    const std::uint64_t first = 32 * (p / 2) + 4 * (p % 2);
+    const std::uint32_t keep = p % 5;
+    for (std::uint32_t u = keep; u < 4; ++u) stale.push_back(first + u);
+    if (keep > 0) expect.emplace_back(0, keep * cfg.sector_bytes);
+    survivors += keep;
+  }
+  for (std::size_t i = 0; i < stale.size(); i += 8) {
+    const auto end = stale.begin() + static_cast<std::ptrdiff_t>(std::min(i + 8, stale.size()));
+    h.write_lpns({stale.begin() + static_cast<std::ptrdiff_t>(i), end}, [] {});
+  }
+  h.sim.run_to_completion();
+  EXPECT_EQ(h.ftl.stats().gc_runs, 1u);
+  EXPECT_EQ(h.ftl.stats().gc_units_moved, survivors);
+  EXPECT_EQ(h.gc_reads, expect);
+  EXPECT_EQ(h.ftl.stats().erases, 1u);
 }
 
 TEST(Ftl, StatsWriteAmplificationIdentity) {
