@@ -2,7 +2,7 @@
 //
 // Two profiles:
 //
-//   --profile paper (default): SSD1 + SSD2 + HDD live on one fleet timeline
+//   --profile paper (default): SSD1 + SSD2 + HDD live under one fleet clock
 //   while the facility budget steps 40 W -> 25 W -> 14 W -> 40 W. Each step
 //   goes through the FleetAdapter: the PowerAdaptiveController re-plans from
 //   measured power-throughput options, applies power states / standby

@@ -3,19 +3,19 @@
 // A storage server with 16 NVMe SSDs and 2 HDDs — the paper's motivating
 // configuration, whose storage power dynamic range rivals the host's — runs
 // a sustained write-heavy workload while the facility's power budget
-// changes. The devices live on ONE core::Testbed timeline; a
-// core::FleetAdapter closes the loop: the PowerAdaptiveController plans
-// per-device configurations from the measured power-throughput model (power
-// states + IO shaping + standby parking), applies them through the live
-// NVMe/SATA admin paths, and routes each phase's jobs only to the devices
-// the plan gives throughput (power-aware IO redirection).
+// changes. The devices live on one core::Testbed, each on its own timeline
+// under one fleet clock; a core::FleetAdapter closes the loop: the
+// PowerAdaptiveController plans per-device configurations from the measured
+// power-throughput model (power states + IO shaping + standby parking),
+// applies them through the live NVMe/SATA admin paths, and routes each
+// phase's jobs only to the devices the plan gives throughput (power-aware IO
+// redirection).
 #include <cstdio>
 #include <vector>
 
 #include "common/table.h"
 #include "core/testbed.h"
 #include "iogen/engine.h"
-#include "sim/simulator.h"
 
 namespace pas {
 namespace {
@@ -37,7 +37,7 @@ model::ExperimentPoint option(int ps, std::uint32_t chunk, int qd, double watts,
 int main() {
   using namespace pas;
 
-  // Build the fleet on one shared timeline: 16 SSD2-class drives + 2 HDDs.
+  // Build the fleet under one fleet clock: 16 SSD2-class drives + 2 HDDs.
   core::Testbed testbed;
   std::vector<core::FleetDeviceOptions> opts;
   for (int i = 0; i < 16; ++i) {
@@ -115,7 +115,7 @@ int main() {
     // Measure the fleet's true power draw through the phase with the
     // per-device rigs, summed into one fleet trace.
     testbed.start_rigs();
-    testbed.run_jobs();  // advance the shared timeline until all jobs finish
+    testbed.run_jobs();  // run every device until all jobs finish
     testbed.stop_rigs();
     const power::PowerTrace fleet_trace = testbed.take_fleet_trace();
 
@@ -130,7 +130,7 @@ int main() {
                     "ps0:" + std::to_string(ps_count[0]) + " ps1:" + std::to_string(ps_count[1]) +
                         " ps2:" + std::to_string(ps_count[2])});
     // Let in-flight background work drain before the next phase.
-    testbed.sim().run_until(testbed.sim().now() + milliseconds(300));
+    testbed.advance(milliseconds(300));
   }
 
   print_banner("Power-adaptive fleet under a changing budget");

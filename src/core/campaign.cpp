@@ -40,7 +40,9 @@ ExperimentOutput run_cell(devices::DeviceId id, int power_state, const iogen::Jo
   // one job, one rig, one fresh timeline. The event sequence (device
   // construction -> admin power-state call -> rig start -> engine start ->
   // drive) matches the historical hand-wired path exactly, so outputs are
-  // bit-identical to it.
+  // bit-identical to it. run_jobs() also fires what is still due at the
+  // finish instant before the rig stops; an integrating rig's sample there
+  // is the same under either power segment (power/rig.h).
   Testbed testbed;
   const std::size_t d = testbed.add_device(id, options.seed);
   devices::DeviceBundle& dev = testbed.device(d);

@@ -69,7 +69,10 @@ class PowerDomain {
 
 // Watches one domain and trips its breaker when the draw stays above the
 // rating for `overload_grace` (thermal-magnetic breakers tolerate brief
-// overloads; sustained ones trip).
+// overloads; sustained ones trip). Its poll reads, and a trip cuts, every
+// device of the domain, so it needs one simulator shared by all of them: it
+// cannot run on a core::Testbed, where each device has its own timeline and
+// an event may touch only its own device (DESIGN.md section 3.2).
 class BreakerMonitor {
  public:
   BreakerMonitor(sim::Simulator& sim, PowerDomain& domain, TimeNs poll_period,

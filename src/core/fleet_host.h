@@ -2,10 +2,11 @@
 // section 4 control plane (FleetAdapter / PowerAdaptiveController, the fleet
 // benches) and whatever hosts the live devices. Two implementations:
 //
-//   * core::Testbed          — one simulator timeline, N devices (the
+//   * core::Testbed          — N devices, each on its own simulator
+//                              timeline, under one fleet clock (the
 //                              one-shard special case; DESIGN section 3.2)
-//   * core::ShardedTestbed   — K per-shard simulators advancing in parallel
-//                              under an epoch barrier (rack scale)
+//   * core::ShardedTestbed   — K Testbeds advancing in parallel under an
+//                              epoch barrier (rack scale)
 //
 // Devices are addressed by a stable global index in add_device order, jobs
 // by a global index in add_job order, regardless of which shard hosts them —
@@ -14,11 +15,11 @@
 // worker-thread count and scheduling) on any shard count. Every call that
 // moves the clock is run_jobs or run_epoch: advance() is defined once, here.
 //
-// The time model: every host exposes ONE fleet clock. For the Testbed it is
-// simply its simulator's clock; for the sharded host it is the common epoch
-// time all shard clocks are re-synchronized to at each barrier. Methods that
-// read or advance the clock (now/advance/run_jobs/run_epoch/start_rigs/
-// stop_rigs) may only be called between epochs, when the shard clocks agree.
+// The time model: every host exposes ONE fleet clock: the time every device
+// timeline reaches at the end of each run_jobs/run_epoch call (for the
+// sharded host, at each barrier). Methods that read or advance the clock
+// (now/advance/run_jobs/run_epoch/start_rigs/stop_rigs) may only be called
+// between epochs, when the device clocks agree.
 #pragma once
 
 #include <cstddef>
@@ -121,9 +122,10 @@ class FleetHost {
 
   // --- the epoch clock ---
   // Starts every not-yet-started job and advances the fleet until ALL jobs
-  // have finished, then re-synchronizes the fleet clock (sharded hosts: each
-  // shard drives its own jobs in parallel, then every shard runs forward to
-  // the latest shard's finish time so the clocks agree again).
+  // have finished, then re-synchronizes the fleet clock: each device drives
+  // its own jobs on its own timeline (shards in parallel), then every device
+  // coasts to the latest finish time, firing what it has due up to and
+  // including that instant, so the clocks agree again.
   virtual void run_jobs() = 0;
   // Epoch-bounded variant: starts pending jobs and advances the whole fleet
   // to exactly `until` (an absolute fleet time — the coordinator's next
@@ -136,9 +138,9 @@ class FleetHost {
   // run_epoch on every host: pending jobs start and arrivals keep flowing.
   void advance(TimeNs dt) { run_epoch(now() + dt); }
   virtual TimeNs now() const = 0;
-  // Total simulator events fired across the fleet so far (summed over shard
-  // simulators). Perf accounting: the rig-sweep A/B reports how many events
-  // segment-lazy sampling removed from the kernel.
+  // Total simulator events fired across the fleet so far (summed over the
+  // device timelines). Perf accounting: the rig-sweep A/B reports how many
+  // events segment-lazy sampling removed from the kernel.
   virtual std::uint64_t executed_events() const = 0;
 
   // --- measurement ---

@@ -109,22 +109,16 @@ std::vector<TenantSummary> ShardedTestbed::tenant_summaries() const {
 }
 
 void ShardedTestbed::run_jobs() {
-  if (shards_.size() == 1) {
-    // One shard: no resynchronization coast, so the event sequence is
-    // EXACTLY a plain Testbed's (the coast's run_until(now) would fire any
-    // event coinciding with the finish instant — e.g. a rig tick — that the
-    // Testbed path leaves for the caller). This is the byte-identity path.
-    shards_[0]->run_jobs();
-    now_ = shards_[0]->now();
-    return;
-  }
-  // Fan-out: every shard drives its OWN jobs to completion on its own
-  // timeline. Shards finish at different clocks.
+  // Fan-out: every shard drives its OWN jobs to completion. Shards finish at
+  // different clocks.
   for_each_shard([this](std::size_t k) { shards_[k]->run_jobs(); });
   // Resynchronize: every shard coasts forward to the latest finisher, so the
   // fleet leaves the barrier with one common clock (rigs keep accounting
   // samples through the coast — segment-lazy rigs materialize them at the
   // shard's run_epoch() — which is what keeps cross-shard traces aligned).
+  // Testbed::run_jobs leaves nothing due at its own finish time, so the
+  // latest shard's coast, and a one-shard host's, fires no event: K = 1 runs
+  // exactly a plain Testbed's event sequence.
   TimeNs latest = now_;
   for (const auto& shard : shards_) latest = std::max(latest, shard->now());
   for_each_shard([this, latest](std::size_t k) { shards_[k]->run_epoch(latest); });

@@ -1,19 +1,20 @@
 // Shard-parallel fleet host (DESIGN.md section 11): K independent shards —
-// each a full core::Testbed with its own sim::Simulator, device set and rig
-// clocks — advanced in lock step under an epoch barrier, presenting ONE
-// fleet behind the same FleetHost contract as a single Testbed. This is how
-// the repo scales the section 4 fleet scenarios from a handful of devices to
-// a 1 000-device rack: simulated work parallelizes across shards while every
-// observable result stays deterministic.
+// each a full core::Testbed with its own device set, one sim::Simulator per
+// device, and rig clocks — advanced in lock step under an epoch barrier,
+// presenting ONE fleet behind the same FleetHost contract as a single
+// Testbed. This is how the repo scales the section 4 fleet scenarios from a
+// handful of devices to a 1 000-device rack: simulated work parallelizes
+// across shards while every observable result stays deterministic.
 //
 // Epoch barrier protocol. The coordinator (the caller's thread) repeats:
 //   1. pick the next epoch boundary — the earliest controller decision
 //      point, never farther than the power-cap window (run_until's
 //      max_epoch, normally 10 s: the coordinator must observe the fleet at
 //      least once per cap window);
-//   2. fan out: each shard advances its OWN simulator to exactly that
-//      boundary on a worker thread (run_epoch), or to job completion
-//      (run_jobs) followed by a coast-to-latest resynchronization;
+//   2. fan out: each shard advances its OWN device timelines, one after
+//      another, to exactly that boundary on a worker thread (run_epoch), or
+//      to job completion (run_jobs) followed by a coast-to-latest
+//      resynchronization;
 //   3. barrier: join the workers — every shard clock now equals the fleet
 //      clock now();
 //   4. merge + decide: per-shard power sums are merged in shard order on the
@@ -24,12 +25,16 @@
 // a pure function of that shard's own (devices, jobs, admin history), and
 // every cross-shard reduction happens on the coordinator in fixed shard
 // order. Hence results are byte-identical run-to-run and independent of
-// parallel_jobs (1 worker == K workers, asserted in tests). A one-shard
-// ShardedTestbed executes the exact operation sequence of a plain Testbed,
-// so it is byte-identical to it; K-shard fleet sums may differ from the
-// one-shard sum in the last float bits (FP addition is not associative —
-// shard-major vs device-major order), which is why the contract fixes the
-// shard count, not just the seed.
+// parallel_jobs (1 worker == K workers, asserted in tests). Every device
+// runs on its own timeline whatever the shard count, and a shard's
+// run_jobs() leaves nothing due at its finish time, so the resync coast
+// fires only events a one-shard host fires too: given the same jobs and
+// admin calls, per-device results, the clock and the event count do not
+// depend on K, and a one-shard ShardedTestbed is byte-identical to a plain
+// Testbed. K-shard fleet sums may differ from the one-shard sum in the last
+// float bits (FP addition is not associative — shard-major vs device-major
+// order), which is why the contract fixes the shard count, not just the
+// seed.
 #pragma once
 
 #include <cstddef>
@@ -51,7 +56,7 @@ class ShardedTestbed final : public FleetHost {
   explicit ShardedTestbed(std::size_t shards, int parallel_jobs = 0);
 
   std::size_t shard_count() const { return shards_.size(); }
-  // Direct access to one shard (a full Testbed on its own timeline): rack
+  // Direct access to one shard (a full Testbed on its own timelines): rack
   // benches bind one FleetAdapter per shard group through this, and jobs the
   // adapter submits are shard-local (they are driven by run_jobs/run_epoch
   // but do not appear in this host's global job table).
@@ -85,7 +90,7 @@ class ShardedTestbed final : public FleetHost {
   void run_jobs() override;
   bool run_epoch(TimeNs until) override;
   TimeNs now() const override { return now_; }
-  // Sum over the K shard simulators.
+  // Sum over every device timeline of every shard.
   std::uint64_t executed_events() const override;
 
   // Coordinator loop: advances the fleet to `target` in epochs no longer

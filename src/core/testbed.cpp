@@ -8,8 +8,11 @@
 namespace pas::core {
 
 std::size_t Testbed::add_device(devices::DeviceId id, std::uint64_t seed) {
+  sims_.push_back(std::make_unique<sim::Simulator>());
+  sim::Simulator& sim = *sims_.back();
+  sim.run_until(now_);  // an empty timeline: only sets its clock
   devices_.push_back(
-      std::make_unique<devices::DeviceBundle>(devices::make_device(sim_, id, seed)));
+      std::make_unique<devices::DeviceBundle>(devices::make_device(sim, id, seed)));
   return devices_.size() - 1;
 }
 
@@ -59,33 +62,48 @@ std::vector<TenantSummary> Testbed::tenant_summaries() const {
   return out;
 }
 
-std::vector<iogen::IoEngine*> Testbed::start_pending_jobs() {
-  std::vector<iogen::IoEngine*> engines;
-  engines.reserve(jobs_.size());
+void Testbed::start_pending_jobs() {
   for (Job& job : jobs_) {
-    if (job.engine == nullptr) {
-      job.engine = std::make_unique<iogen::IoEngine>(
-          sim_, *devices_[job.device]->device, job.spec);
-      job.engine->start(nullptr);
-    }
-    engines.push_back(job.engine.get());
+    if (job.engine != nullptr) continue;
+    job.engine = std::make_unique<iogen::IoEngine>(*sims_[job.device],
+                                                   *devices_[job.device]->device, job.spec);
+    job.engine->start(nullptr);
   }
-  return engines;
+}
+
+void Testbed::run_timelines(TimeNs t) {
+  for (auto& sim : sims_) sim->run_until(t);
+  now_ = t;
 }
 
 void Testbed::run_jobs() {
-  const std::vector<iogen::IoEngine*> engines = start_pending_jobs();
-  iogen::drive(sim_, engines);
+  start_pending_jobs();
+  std::vector<std::vector<iogen::IoEngine*>> engines(devices_.size());
+  for (const Job& job : jobs_) engines[job.device].push_back(job.engine.get());
+  // Each device's jobs run to completion on its own timeline; then every
+  // timeline, the last finisher's included, coasts to the latest finish.
+  TimeNs latest = now_;
+  for (std::size_t d = 0; d < sims_.size(); ++d) {
+    iogen::drive(*sims_[d], engines[d]);
+    latest = std::max(latest, sims_[d]->now());
+  }
+  run_timelines(latest);
   materialize_rigs();
 }
 
 bool Testbed::run_epoch(TimeNs until) {
-  PAS_CHECK(until >= sim_.now());
-  const std::vector<iogen::IoEngine*> engines = start_pending_jobs();
-  sim_.run_until(until);
+  PAS_CHECK(until >= now_);
+  start_pending_jobs();
+  run_timelines(until);
   materialize_rigs();
-  return std::all_of(engines.begin(), engines.end(),
-                     [](const iogen::IoEngine* e) { return e->finished(); });
+  return std::all_of(jobs_.begin(), jobs_.end(),
+                     [](const Job& job) { return job.engine->finished(); });
+}
+
+std::uint64_t Testbed::executed_events() const {
+  std::uint64_t total = 0;
+  for (const auto& sim : sims_) total += sim->executed_events();
+  return total;
 }
 
 void Testbed::materialize_rigs() {

@@ -1,24 +1,37 @@
-// The testbed (DESIGN.md section 3.2): N devices and M iogen jobs hosted on
-// ONE simulator timeline — the layer between "a cell" (one device, one job,
-// one fresh simulator) and the paper's section 4 fleet scenarios (many live
-// devices sharing a wall clock while budgets step). It is the one-shard
-// special case of the FleetHost contract (fleet_host.h); ShardedTestbed
-// composes K of these for rack scale.
+// The testbed (DESIGN.md section 3.2): N devices and M iogen jobs under ONE
+// fleet clock — the layer between "a cell" (one device, one job, one fresh
+// simulator) and the paper's section 4 fleet scenarios (many live devices
+// sharing a wall clock while budgets step). It is the one-shard special case
+// of the FleetHost contract (fleet_host.h); ShardedTestbed composes K of these
+// for rack scale.
 //
-// Ownership: the Testbed owns the simulator, and one devices::DeviceBundle
+// Timelines: every device has its own sim::Simulator, which carries every
+// event of that device's model and of its jobs' engines. run_epoch(t) runs
+// each timeline to t, one device after another in device order; run_jobs()
+// drives each device's jobs to completion on its own timeline, then runs
+// every timeline to the latest finish time. Between calls every timeline
+// reads now(). An event touches only its own device: devices share no queued
+// resources, rigs schedule nothing, and the control plane (admin calls,
+// routing, rig start/stop, new jobs) acts only between calls. So each device
+// sees its own events in the order one shared kernel would fire them, while
+// its hot state stays in cache for a whole run instead of being evicted by
+// every other device's next event.
+//
+// Ownership: the Testbed owns the timelines, and one devices::DeviceBundle
 // per device (device model + NVMe/ALPM admin handles + measurement rig, all
 // built by devices::make_device). Jobs are owned too; their IoEngines are
 // constructed lazily by run_jobs()/run_epoch() (advance() is run_epoch) so
 // engine construction order — and hence RNG-free event order — matches the
 // historical single-device wiring.
 //
-// Determinism contract: everything on the timeline is a pure function of
-// (device seeds, job specs, admin-call sequence). Timestamp ties fire FIFO
-// in the kernel, devices never share queued resources, and the rigs' noise
-// streams are derived per device (seed ^ devices::kRigNoiseSeedMix), so a
-// single-device Testbed reproduces core::run_cell byte-for-byte and an
-// N-device Testbed is reproducible run-to-run. Open-loop arrivals are
-// kernel events too, so results do not depend on where epochs end.
+// Determinism contract: everything on a timeline is a pure function of
+// (device seed, the device's job specs, admin-call sequence). Timestamp ties
+// fire FIFO in the kernel and the rigs' noise streams are derived per device
+// (seed ^ devices::kRigNoiseSeedMix), so a single-device Testbed reproduces
+// core::run_cell byte-for-byte, a device's results do not depend on the other
+// devices it shares a Testbed with, and an N-device Testbed is reproducible
+// run-to-run. Open-loop arrivals are kernel events too, so results do not
+// depend on where epochs end.
 #pragma once
 
 #include <cstddef>
@@ -43,11 +56,12 @@ class Testbed final : public FleetHost {
   Testbed(const Testbed&) = delete;
   Testbed& operator=(const Testbed&) = delete;
 
-  sim::Simulator& sim() { return sim_; }
-  const sim::Simulator& sim() const { return sim_; }
+  // Device `i`'s own timeline. Only that device's events may go on it.
+  sim::Simulator& sim(std::size_t i) { return *sims_[i]; }
+  const sim::Simulator& sim(std::size_t i) const { return *sims_[i]; }
 
   // Constructs the device (with admin handles and a configured-but-stopped
-  // rig) on the shared timeline. Returns its device index.
+  // rig) on a new timeline set to now(). Returns its device index.
   std::size_t add_device(devices::DeviceId id, std::uint64_t seed) override;
 
   std::size_t device_count() const override { return devices_.size(); }
@@ -76,16 +90,19 @@ class Testbed final : public FleetHost {
   std::vector<TenantSummary> tenant_summaries() const override;
 
   // Starts every not-yet-started job (engine construction + start, in job
-  // order) and advances the shared timeline until ALL jobs have finished,
-  // through iogen::drive — the repo's single drive-loop implementation.
-  // Callable repeatedly: phased scenarios add jobs, run, add more, run.
+  // order), drives each device's jobs to completion on its own timeline
+  // through iogen::drive — the repo's single drive-loop implementation — and
+  // then runs every timeline to the latest finish time, so nothing is left
+  // due at now() on any device. Callable repeatedly: phased scenarios add
+  // jobs, run, add more, run.
   void run_jobs() override;
-  // Epoch-bounded variant: starts pending jobs, then runs the timeline to
+  // Epoch-bounded variant: starts pending jobs, then runs every timeline to
   // exactly `until` (sim::Simulator::run_until; open-loop arrivals are among
   // its events). Returns true when every job finished.
   bool run_epoch(TimeNs until) override;
-  TimeNs now() const override { return sim_.now(); }
-  std::uint64_t executed_events() const override { return sim_.executed_events(); }
+  TimeNs now() const override { return now_; }
+  // Summed over the device timelines.
+  std::uint64_t executed_events() const override;
 
   // --- measurement ---
   void start_rigs() override;
@@ -107,9 +124,11 @@ class Testbed final : public FleetHost {
     std::unique_ptr<iogen::IoEngine> engine;  // null until run_jobs() starts it
   };
 
-  // Engine construction + start for every pending job, in job order; returns
-  // all engines (the drive set).
-  std::vector<iogen::IoEngine*> start_pending_jobs();
+  // Engine construction + start for every pending job, in job order, each on
+  // its device's timeline.
+  void start_pending_jobs();
+  // Runs every timeline to `t` in device order; `t` becomes the fleet clock.
+  void run_timelines(TimeNs t);
   // Epoch-boundary hook, called at the end of run_jobs/run_epoch:
   // kStreamingSum drains the rigs (drain_rigs); kFullTraces has every rig
   // convert its elapsed ADC ticks. Either way per-rig pending work is
@@ -124,12 +143,16 @@ class Testbed final : public FleetHost {
   // bit-identical sums.
   void drain_rigs();
 
-  sim::Simulator sim_;
+  // One timeline per device, declared before the devices and jobs so it
+  // outlives them: both keep a sim::Simulator&, and an engine cancels its
+  // armed wake when it is destroyed.
+  std::vector<std::unique_ptr<sim::Simulator>> sims_;
   std::vector<std::unique_ptr<devices::DeviceBundle>> devices_;
   std::vector<Job> jobs_;
   Router router_;
   std::size_t round_robin_ = 0;
 
+  TimeNs now_ = 0;  // the fleet clock: every timeline reads it between calls
   TraceMode trace_mode_ = TraceMode::kFullTraces;
   power::PowerTrace fleet_sum_;  // drained rig sums since the last take
 };

@@ -4,7 +4,8 @@
 //     worker-pool size;
 //   * the epoch barrier never lets a shard run past the coordinator by more
 //     than the cap window, and every barrier leaves the shard clocks synced;
-//   * streaming-sum trace mode is bit-identical to full-trace retention.
+//   * streaming-sum trace mode is bit-identical to full-trace retention;
+//   * per-device results do not depend on the shard count.
 #include "core/sharded_testbed.h"
 
 #include <gtest/gtest.h>
@@ -30,17 +31,9 @@ iogen::JobSpec small_randwrite(std::uint32_t block_bytes, int iodepth) {
 constexpr devices::DeviceId kTypes[] = {devices::DeviceId::kSsd1, devices::DeviceId::kSsd2,
                                         devices::DeviceId::kHdd};
 
-// Builds an N-device fleet (cycling the paper's device types), runs one
-// batch of time-limited write jobs on every device, and returns the fleet
-// trace plus per-job byte counts. A positive `advance_first` calls
-// advance() while the jobs are still queued, before run_jobs().
-struct FleetRun {
-  power::PowerTrace trace;
-  std::vector<std::uint64_t> bytes;
-  TimeNs end = 0;
-};
-
-FleetRun run_fleet(FleetHost& host, std::size_t devices, TimeNs advance_first = 0) {
+// Adds an N-device fleet (cycling the paper's device types) and queues one
+// size-limited write job per device. Returns the job indices.
+std::vector<std::size_t> add_fleet(FleetHost& host, std::size_t devices) {
   for (std::size_t i = 0; i < devices; ++i) {
     host.add_device(kTypes[i % 3], 100 + i);
   }
@@ -51,6 +44,20 @@ FleetRun run_fleet(FleetHost& host, std::size_t devices, TimeNs advance_first = 
     spec.seed = 1000 + i;
     jobs.push_back(host.add_job(spec, i));
   }
+  return jobs;
+}
+
+// Runs add_fleet's jobs and returns the fleet trace plus per-job byte
+// counts. A positive `advance_first` calls advance() while the jobs are
+// still queued, before run_jobs().
+struct FleetRun {
+  power::PowerTrace trace;
+  std::vector<std::uint64_t> bytes;
+  TimeNs end = 0;
+};
+
+FleetRun run_fleet(FleetHost& host, std::size_t devices, TimeNs advance_first = 0) {
+  const std::vector<std::size_t> jobs = add_fleet(host, devices);
   host.start_rigs();
   if (advance_first > 0) host.advance(advance_first);
   host.run_jobs();
@@ -103,6 +110,51 @@ TEST(ShardedTestbed, FourShardsDeterministicAcrossRepeatsAndWorkers) {
     EXPECT_EQ(actual.bytes, expected.bytes);
     EXPECT_EQ(actual.end, expected.end);
     expect_bit_identical(actual.trace, expected.trace);
+  }
+}
+
+// The shard count is an execution knob: every device runs on its own
+// timeline at any K, so each device's rig trace is bit-identical across
+// K and worker counts, and job bytes, the clock and the event count are
+// equal. Compared per device: the fleet sum is summed shard-major and may
+// differ across K in its last bits.
+TEST(ShardedTestbed, PerDeviceResultsIgnoreShardCount) {
+  constexpr std::size_t kDevices = 8;
+  struct Run {
+    std::vector<power::PowerTrace> traces;
+    std::vector<std::uint64_t> bytes;
+    TimeNs end = 0;
+    std::uint64_t events = 0;
+  };
+  const auto run = [](std::size_t shards, int workers) {
+    ShardedTestbed host(shards, workers);
+    const std::vector<std::size_t> jobs = add_fleet(host, kDevices);
+    host.start_rigs();
+    host.advance(milliseconds(20));
+    host.run_jobs();
+    host.advance(milliseconds(30));
+    host.stop_rigs();
+    Run out;
+    for (std::size_t i = 0; i < kDevices; ++i) {
+      out.traces.push_back(host.device(i).rig->trace());
+    }
+    for (const std::size_t j : jobs) out.bytes.push_back(host.job_result(j).bytes);
+    out.end = host.now();
+    out.events = host.executed_events();
+    return out;
+  };
+  const Run expected = run(1, 1);
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    for (const int workers : {1, 4}) {
+      SCOPED_TRACE(testing::Message() << shards << " shards, " << workers << " workers");
+      const Run actual = run(shards, workers);
+      EXPECT_EQ(actual.bytes, expected.bytes);
+      EXPECT_EQ(actual.end, expected.end);
+      EXPECT_EQ(actual.events, expected.events);
+      for (std::size_t i = 0; i < kDevices; ++i) {
+        expect_bit_identical(actual.traces[i], expected.traces[i]);
+      }
+    }
   }
 }
 

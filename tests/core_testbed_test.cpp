@@ -131,7 +131,7 @@ TEST(Testbed, RouterHookDirectsRoutedJobs) {
   EXPECT_EQ(testbed.job_device(testbed.add_job(write, 0)), 0u);
 }
 
-TEST(Testbed, ManyDevicesShareOneTimeline) {
+TEST(Testbed, ManyDevicesRunUnderOneFleetClock) {
   Testbed testbed;
   const std::size_t a = testbed.add_device(devices::DeviceId::kSsd1, 1);
   const std::size_t b = testbed.add_device(devices::DeviceId::kSsd2, 2);
@@ -142,10 +142,12 @@ TEST(Testbed, ManyDevicesShareOneTimeline) {
   testbed.start_rigs();
   testbed.run_jobs();
   testbed.stop_rigs();
-  // Both jobs completed on the one shared clock.
+  // Both jobs completed, and both timelines stand at the fleet clock.
   EXPECT_EQ(testbed.job_result(ja).bytes, 32 * MiB);
   EXPECT_EQ(testbed.job_result(jb).bytes, 32 * MiB);
-  EXPECT_GT(testbed.sim().now(), 0);
+  EXPECT_GT(testbed.now(), 0);
+  EXPECT_EQ(testbed.sim(a).now(), testbed.now());
+  EXPECT_EQ(testbed.sim(b).now(), testbed.now());
   // The fleet trace is the pointwise sum of the aligned per-device rigs.
   const power::PowerTrace ta = testbed.device(a).rig->trace();
   const power::PowerTrace tb = testbed.device(b).rig->trace();
@@ -165,6 +167,70 @@ TEST(Testbed, ManyDevicesShareOneTimeline) {
               1e-12);
 }
 
+void expect_same_result(const iogen::JobResult& a, const iogen::JobResult& b) {
+  EXPECT_EQ(a.ios, b.ios);
+  EXPECT_EQ(a.bytes, b.bytes);
+  EXPECT_EQ(a.elapsed, b.elapsed);
+  EXPECT_EQ(a.slo_ios, b.slo_ios);
+  EXPECT_EQ(a.slo_violations, b.slo_violations);
+  EXPECT_EQ(a.latency.count(), b.latency.count());
+  EXPECT_EQ(a.latency.mean_ns(), b.latency.mean_ns());
+  EXPECT_EQ(a.latency.min_ns(), b.latency.min_ns());
+  EXPECT_EQ(a.latency.max_ns(), b.latency.max_ns());
+  EXPECT_EQ(a.latency.p99_ns(), b.latency.p99_ns());
+}
+
+void expect_same_trace(const power::PowerTrace& a, const power::PowerTrace& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(a.time_at(i), b.time_at(i)) << "sample " << i;
+    ASSERT_EQ(a.watts()[i], b.watts()[i]) << "sample " << i;  // bit-identity
+  }
+}
+
+// What one timeline per device relies on: devices never touch each other.
+// Each device's job result, energy and rig trace equal, bit for bit, those
+// of the same device and job alone on a one-device Testbed run to the same
+// end time. The jobs end at different times, so the early finishers coast
+// to the last one's finish inside run_jobs().
+TEST(Testbed, DevicesMatchTheirSoloRuns) {
+  const devices::DeviceId ids[] = {devices::DeviceId::kSsd1, devices::DeviceId::kSsd2,
+                                   devices::DeviceId::kHdd};
+  const auto job_for = [](std::size_t i) {
+    iogen::JobSpec spec = small_randwrite(256 * 1024, 8);
+    spec.io_limit_bytes = (i == 2 ? 4 : 16 * (i + 1)) * MiB;
+    spec.seed = 60 + i;
+    return spec;
+  };
+  Testbed fleet;
+  for (std::size_t i = 0; i < 3; ++i) {
+    fleet.add_device(ids[i], 50 + i);
+    fleet.add_job(job_for(i), i);
+  }
+  fleet.start_rigs();
+  fleet.run_jobs();
+  fleet.advance(milliseconds(50));
+  const TimeNs end = fleet.now();
+  std::set<TimeNs> finishes;
+  for (std::size_t i = 0; i < 3; ++i) {
+    SCOPED_TRACE(devices::label(ids[i]));
+    Testbed solo;
+    solo.add_device(ids[i], 50 + i);
+    const std::size_t j = solo.add_job(job_for(i), 0);
+    solo.start_rigs();
+    solo.run_jobs();
+    finishes.insert(solo.now());
+    solo.run_epoch(end);
+    expect_same_result(fleet.job_result(i), solo.job_result(j));
+    EXPECT_EQ(fleet.device(i).device->consumed_energy(),
+              solo.device(0).device->consumed_energy());
+    const power::PowerTrace& trace = fleet.device(i).rig->trace();
+    ASSERT_GT(trace.size(), 50u);
+    expect_same_trace(trace, solo.device(0).rig->trace());
+  }
+  EXPECT_EQ(finishes.size(), 3u);  // every device but the last one coasted
+}
+
 TEST(Testbed, RunJobsIsRepeatableForPhasedScenarios) {
   Testbed testbed;
   const std::size_t d = testbed.add_device(devices::DeviceId::kSsd2, 1);
@@ -173,13 +239,13 @@ TEST(Testbed, RunJobsIsRepeatableForPhasedScenarios) {
   const std::size_t j1 = testbed.add_job(spec, d);
   testbed.run_jobs();
   const std::uint64_t first_bytes = testbed.job_result(j1).bytes;
-  const TimeNs t1 = testbed.sim().now();
+  const TimeNs t1 = testbed.now();
   // Phase two: a new job on the SAME timeline; the first result survives.
   const std::size_t j2 = testbed.add_job(spec, d);
   testbed.run_jobs();
   EXPECT_EQ(testbed.job_result(j1).bytes, first_bytes);
   EXPECT_EQ(testbed.job_result(j2).bytes, 16 * MiB);
-  EXPECT_GT(testbed.sim().now(), t1);
+  EXPECT_GT(testbed.now(), t1);
 }
 
 // A single-device Testbed and a fresh standalone run with the same seed are
@@ -289,8 +355,10 @@ TEST(Testbed, StreamingSumUnchangedByMidRunRigRead) {
       spec.seed = 40 + i;
       testbed.add_job(spec, i);
     }
-    testbed.sim().schedule_at(milliseconds(77), [&testbed] { testbed.device(2).rig->trace(); });
-    testbed.sim().schedule_at(milliseconds(131), [&testbed] { testbed.device(1).rig->trace(); });
+    // Each read runs on the timeline of the rig it reads: on another
+    // device's timeline the rig's clock would not have moved.
+    testbed.sim(2).schedule_at(milliseconds(77), [&testbed] { testbed.device(2).rig->trace(); });
+    testbed.sim(1).schedule_at(milliseconds(131), [&testbed] { testbed.device(1).rig->trace(); });
     testbed.start_rigs();
     testbed.run_jobs();
     testbed.stop_rigs();
@@ -411,7 +479,7 @@ TEST(FleetAdapter, ParksAndWakesTheHddAcrossBudgetSteps) {
   FleetAdapter adapter(testbed, std::move(opts));
   // 11.5 W: only ssd@ps2 (10.2) + hdd standby (1.05) fits.
   ASSERT_TRUE(adapter.set_power_budget(11.5).has_value());
-  testbed.sim().run_until(testbed.sim().now() + seconds(10));
+  testbed.advance(seconds(10));
   EXPECT_EQ(testbed.device(1).pm->ata_power_mode(), sim::AtaPowerMode::kStandby);
   EXPECT_NEAR(testbed.device(1).device->instantaneous_power(), 1.05, 1e-9);
   // While parked, writes must never route to the HDD.
@@ -423,7 +491,7 @@ TEST(FleetAdapter, ParksAndWakesTheHddAcrossBudgetSteps) {
   }
   // Restore: the HDD spins back up.
   ASSERT_TRUE(adapter.set_power_budget(36.0).has_value());
-  testbed.sim().run_until(testbed.sim().now() + seconds(30));
+  testbed.advance(seconds(30));
   EXPECT_EQ(testbed.device(1).pm->ata_power_mode(), sim::AtaPowerMode::kActiveIdle);
 }
 
