@@ -24,7 +24,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "common/histogram.h"
@@ -87,11 +86,6 @@ enum class TraceMode {
 
 class FleetHost {
  public:
-  // Consulted by the routed add_job overload; maps a job to a global device
-  // index. Defaults to round-robin; the FleetAdapter installs the
-  // controller's redirection policy here.
-  using Router = std::function<std::size_t(const iogen::JobSpec&, std::size_t job_index)>;
-
   virtual ~FleetHost() = default;
 
   // --- fleet construction ---
@@ -102,16 +96,13 @@ class FleetHost {
   // Maps a routing decision (a BlockDevice*) back to its global device
   // index; aborts if the pointer is not hosted here.
   virtual std::size_t index_of(const sim::BlockDevice* dev) const = 0;
-  virtual void set_router(Router router) = 0;
   // Defaults to kFullTraces.
   virtual void set_trace_mode(TraceMode mode) = 0;
 
   // --- jobs ---
   virtual std::size_t add_job(const iogen::JobSpec& spec, std::size_t device_index) = 0;
-  virtual std::size_t add_job(const iogen::JobSpec& spec) = 0;
   virtual std::size_t job_count() const = 0;
   virtual std::size_t job_device(std::size_t job) const = 0;
-  virtual const iogen::JobSpec& job_spec(std::size_t job) const = 0;
   virtual const iogen::JobResult& job_result(std::size_t job) const = 0;
 
   // Per-tenant aggregation over every started job the host knows about —

@@ -1,7 +1,6 @@
 #include "core/runner.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <climits>
@@ -55,9 +54,7 @@ std::vector<ExperimentOutput> CampaignRunner::run(const std::vector<CellSpec>& c
   if (cells.empty()) return outputs;
 
   const auto start = Clock::now();
-  int jobs = options_.jobs;
-  if (jobs <= 0) jobs = default_jobs();
-  jobs = static_cast<int>(std::min<std::size_t>(static_cast<std::size_t>(jobs), cells.size()));
+  const int jobs = options_.jobs <= 0 ? default_jobs() : options_.jobs;
 
   std::mutex mu;  // guards failures_ and progress reporting
   std::size_t done = 0;
@@ -85,22 +82,7 @@ std::vector<ExperimentOutput> CampaignRunner::run(const std::vector<CellSpec>& c
     }
   };
 
-  if (jobs == 1) {
-    // Today's serial path: everything inline on the calling thread.
-    for (std::size_t i = 0; i < cells.size(); ++i) execute(i);
-  } else {
-    std::atomic<std::size_t> next{0};
-    std::vector<std::thread> workers;
-    workers.reserve(static_cast<std::size_t>(jobs));
-    for (int w = 0; w < jobs; ++w) {
-      workers.emplace_back([&] {
-        for (std::size_t i = next.fetch_add(1); i < cells.size(); i = next.fetch_add(1)) {
-          execute(i);
-        }
-      });
-    }
-    for (auto& t : workers) t.join();
-  }
+  parallel_for(cells.size(), static_cast<std::size_t>(jobs), execute);
 
   // Failures are recorded in completion order under the mutex; sort back to
   // spec order so reports are deterministic.

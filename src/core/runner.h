@@ -8,11 +8,14 @@
 // everything inline on the calling thread, preserving the old serial path).
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/table.h"
@@ -54,6 +57,29 @@ struct RunnerOptions {
 // exits 2 naming PAS_JOBS and the value); unset, empty or 0 means
 // hardware_concurrency.
 int default_jobs();
+
+// Calls fn(i) for every i in [0, n): inline on the calling thread when one
+// worker suffices (jobs <= 1 or n <= 1), else on min(jobs, n) threads that
+// each pull the next index from a shared counter. Returns once every call
+// has. The worker pool of CampaignRunner::run and of ShardedTestbed's
+// fan-out; a template so neither wraps its body in a std::function.
+template <typename Fn>
+void parallel_for(std::size_t n, std::size_t jobs, Fn&& fn) {
+  jobs = std::min(jobs, n);
+  if (jobs <= 1) {
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  std::atomic<std::size_t> next{0};
+  std::vector<std::thread> workers;
+  workers.reserve(jobs);
+  for (std::size_t w = 0; w < jobs; ++w) {
+    workers.emplace_back([&] {
+      for (std::size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) fn(i);
+    });
+  }
+  for (auto& t : workers) t.join();
+}
 
 class CampaignRunner {
  public:

@@ -1,8 +1,6 @@
 #include "core/sharded_testbed.h"
 
 #include <algorithm>
-#include <atomic>
-#include <thread>
 #include <utility>
 
 #include "common/check.h"
@@ -11,29 +9,11 @@
 namespace pas::core {
 
 ShardedTestbed::ShardedTestbed(std::size_t shards, int parallel_jobs)
-    : parallel_jobs_(parallel_jobs <= 0 ? default_jobs() : parallel_jobs) {
+    : parallel_jobs_(
+          static_cast<std::size_t>(parallel_jobs <= 0 ? default_jobs() : parallel_jobs)) {
   PAS_CHECK_MSG(shards >= 1, "a sharded testbed needs at least one shard");
   shards_.reserve(shards);
   for (std::size_t k = 0; k < shards; ++k) shards_.push_back(std::make_unique<Testbed>());
-}
-
-void ShardedTestbed::for_each_shard(const std::function<void(std::size_t)>& fn) {
-  const std::size_t n = shards_.size();
-  const std::size_t jobs =
-      std::min<std::size_t>(static_cast<std::size_t>(parallel_jobs_), n);
-  if (jobs <= 1) {
-    for (std::size_t k = 0; k < n; ++k) fn(k);
-    return;
-  }
-  std::atomic<std::size_t> next{0};
-  std::vector<std::thread> workers;
-  workers.reserve(jobs);
-  for (std::size_t w = 0; w < jobs; ++w) {
-    workers.emplace_back([&] {
-      for (std::size_t k = next.fetch_add(1); k < n; k = next.fetch_add(1)) fn(k);
-    });
-  }
-  for (auto& t : workers) t.join();
 }
 
 std::size_t ShardedTestbed::add_device(devices::DeviceId id, std::uint64_t seed) {
@@ -41,6 +21,26 @@ std::size_t ShardedTestbed::add_device(devices::DeviceId id, std::uint64_t seed)
   const std::size_t local = shards_[shard]->add_device(id, seed);
   devices_.push_back(DeviceRef{shard, local});
   return devices_.size() - 1;
+}
+
+Testbed& ShardedTestbed::shard(std::size_t k) {
+  PAS_CHECK(k < shards_.size());
+  return *shards_[k];
+}
+
+const Testbed& ShardedTestbed::shard(std::size_t k) const {
+  PAS_CHECK(k < shards_.size());
+  return *shards_[k];
+}
+
+std::size_t ShardedTestbed::shard_of_device(std::size_t i) const {
+  PAS_CHECK(i < devices_.size());
+  return devices_[i].shard;
+}
+
+std::size_t ShardedTestbed::local_device_index(std::size_t i) const {
+  PAS_CHECK(i < devices_.size());
+  return devices_[i].local;
 }
 
 devices::DeviceBundle& ShardedTestbed::device(std::size_t i) {
@@ -74,21 +74,9 @@ std::size_t ShardedTestbed::add_job(const iogen::JobSpec& spec, std::size_t devi
   return jobs_.size() - 1;
 }
 
-std::size_t ShardedTestbed::add_job(const iogen::JobSpec& spec) {
-  PAS_CHECK_MSG(!devices_.empty(), "routed add_job needs at least one device");
-  std::size_t index;
-  if (router_) {
-    index = router_(spec, jobs_.size());
-    PAS_CHECK_MSG(index < devices_.size(), "router returned an invalid device index");
-  } else {
-    index = round_robin_++ % devices_.size();
-  }
-  return add_job(spec, index);
-}
-
-const iogen::JobSpec& ShardedTestbed::job_spec(std::size_t job) const {
+std::size_t ShardedTestbed::job_device(std::size_t job) const {
   PAS_CHECK(job < jobs_.size());
-  return shards_[jobs_[job].shard]->job_spec(jobs_[job].local);
+  return jobs_[job].device;
 }
 
 const iogen::JobResult& ShardedTestbed::job_result(std::size_t job) const {
@@ -111,7 +99,8 @@ std::vector<TenantSummary> ShardedTestbed::tenant_summaries() const {
 void ShardedTestbed::run_jobs() {
   // Fan-out: every shard drives its OWN jobs to completion. Shards finish at
   // different clocks.
-  for_each_shard([this](std::size_t k) { shards_[k]->run_jobs(); });
+  parallel_for(shards_.size(), parallel_jobs_,
+               [this](std::size_t k) { shards_[k]->run_jobs(); });
   // Resynchronize: every shard coasts forward to the latest finisher, so the
   // fleet leaves the barrier with one common clock (rigs keep accounting
   // samples through the coast — segment-lazy rigs materialize them at the
@@ -121,7 +110,8 @@ void ShardedTestbed::run_jobs() {
   // exactly a plain Testbed's event sequence.
   TimeNs latest = now_;
   for (const auto& shard : shards_) latest = std::max(latest, shard->now());
-  for_each_shard([this, latest](std::size_t k) { shards_[k]->run_epoch(latest); });
+  parallel_for(shards_.size(), parallel_jobs_,
+               [this, latest](std::size_t k) { shards_[k]->run_epoch(latest); });
   now_ = latest;
 }
 
@@ -130,7 +120,7 @@ bool ShardedTestbed::run_epoch(TimeNs until) {
   // One flag per shard, written only by the worker that owns the shard and
   // reduced on the coordinator after the barrier — no shared accumulator.
   std::vector<char> finished(shards_.size(), 0);
-  for_each_shard([this, until, &finished](std::size_t k) {
+  parallel_for(shards_.size(), parallel_jobs_, [this, until, &finished](std::size_t k) {
     finished[k] = shards_[k]->run_epoch(until) ? 1 : 0;
   });
   now_ = until;

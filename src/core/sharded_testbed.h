@@ -38,6 +38,7 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -60,12 +61,12 @@ class ShardedTestbed final : public FleetHost {
   // benches bind one FleetAdapter per shard group through this, and jobs the
   // adapter submits are shard-local (they are driven by run_jobs/run_epoch
   // but do not appear in this host's global job table).
-  Testbed& shard(std::size_t k) { return *shards_[k]; }
-  const Testbed& shard(std::size_t k) const { return *shards_[k]; }
+  Testbed& shard(std::size_t k);
+  const Testbed& shard(std::size_t k) const;
   // Which shard hosts global device `i` (devices are dealt round-robin:
   // shard = i % shard_count), and its index within that shard.
-  std::size_t shard_of_device(std::size_t i) const { return devices_[i].shard; }
-  std::size_t local_device_index(std::size_t i) const { return devices_[i].local; }
+  std::size_t shard_of_device(std::size_t i) const;
+  std::size_t local_device_index(std::size_t i) const;
 
   // --- FleetHost ---
   std::size_t add_device(devices::DeviceId id, std::uint64_t seed) override;
@@ -73,14 +74,11 @@ class ShardedTestbed final : public FleetHost {
   devices::DeviceBundle& device(std::size_t i) override;
   const devices::DeviceBundle& device(std::size_t i) const override;
   std::size_t index_of(const sim::BlockDevice* dev) const override;
-  void set_router(Router router) override { router_ = std::move(router); }
   void set_trace_mode(TraceMode mode) override;
 
   std::size_t add_job(const iogen::JobSpec& spec, std::size_t device_index) override;
-  std::size_t add_job(const iogen::JobSpec& spec) override;
   std::size_t job_count() const override { return jobs_.size(); }
-  std::size_t job_device(std::size_t job) const override { return jobs_[job].device; }
-  const iogen::JobSpec& job_spec(std::size_t job) const override;
+  std::size_t job_device(std::size_t job) const override;
   const iogen::JobResult& job_result(std::size_t job) const override;
 
   // Merged per-shard summaries in shard order; includes shard-local jobs
@@ -120,17 +118,10 @@ class ShardedTestbed final : public FleetHost {
     std::size_t device = 0;  // global device index
   };
 
-  // Fan-out primitive: fn(k) for every shard k, on up to parallel_jobs_
-  // worker threads (CampaignRunner's pool shape: atomic next-index, serial
-  // inline when one worker suffices). fn must touch only shard k's state.
-  void for_each_shard(const std::function<void(std::size_t)>& fn);
-
   std::vector<std::unique_ptr<Testbed>> shards_;
-  int parallel_jobs_;
+  std::size_t parallel_jobs_;  // parallel_for's worker count at each fan-out
   std::vector<DeviceRef> devices_;
   std::vector<JobRef> jobs_;
-  Router router_;
-  std::size_t round_robin_ = 0;
   TimeNs now_ = 0;
 };
 

@@ -16,6 +16,26 @@ std::size_t Testbed::add_device(devices::DeviceId id, std::uint64_t seed) {
   return devices_.size() - 1;
 }
 
+sim::Simulator& Testbed::sim(std::size_t i) {
+  PAS_CHECK(i < sims_.size());
+  return *sims_[i];
+}
+
+const sim::Simulator& Testbed::sim(std::size_t i) const {
+  PAS_CHECK(i < sims_.size());
+  return *sims_[i];
+}
+
+devices::DeviceBundle& Testbed::device(std::size_t i) {
+  PAS_CHECK(i < devices_.size());
+  return *devices_[i];
+}
+
+const devices::DeviceBundle& Testbed::device(std::size_t i) const {
+  PAS_CHECK(i < devices_.size());
+  return *devices_[i];
+}
+
 std::size_t Testbed::index_of(const sim::BlockDevice* dev) const {
   for (std::size_t i = 0; i < devices_.size(); ++i) {
     if (devices_[i]->device.get() == dev) return i;
@@ -30,21 +50,9 @@ std::size_t Testbed::add_job(const iogen::JobSpec& spec, std::size_t device_inde
   return jobs_.size() - 1;
 }
 
-std::size_t Testbed::add_job(const iogen::JobSpec& spec) {
-  PAS_CHECK_MSG(!devices_.empty(), "routed add_job needs at least one device");
-  std::size_t index;
-  if (router_) {
-    index = router_(spec, jobs_.size());
-    PAS_CHECK_MSG(index < devices_.size(), "router returned an invalid device index");
-  } else {
-    index = round_robin_++ % devices_.size();
-  }
-  return add_job(spec, index);
-}
-
-const iogen::JobSpec& Testbed::job_spec(std::size_t job) const {
+std::size_t Testbed::job_device(std::size_t job) const {
   PAS_CHECK(job < jobs_.size());
-  return jobs_[job].spec;
+  return jobs_[job].device;
 }
 
 const iogen::JobResult& Testbed::job_result(std::size_t job) const {
@@ -168,10 +176,7 @@ FleetAdapter::FleetAdapter(FleetHost& host, std::vector<FleetDeviceOptions> opti
               fleet.push_back(std::move(d));
             }
             return PowerAdaptiveController(std::move(fleet), watt_resolution);
-          }()) {
-  host_.set_router(
-      [this](const iogen::JobSpec& spec, std::size_t) { return route(spec); });
-}
+          }()) {}
 
 std::optional<std::vector<AppliedConfig>> FleetAdapter::set_power_budget(Watts budget_w) {
   auto plan = controller_.set_power_budget(budget_w);

@@ -57,32 +57,27 @@ class Testbed final : public FleetHost {
   Testbed& operator=(const Testbed&) = delete;
 
   // Device `i`'s own timeline. Only that device's events may go on it.
-  sim::Simulator& sim(std::size_t i) { return *sims_[i]; }
-  const sim::Simulator& sim(std::size_t i) const { return *sims_[i]; }
+  sim::Simulator& sim(std::size_t i);
+  const sim::Simulator& sim(std::size_t i) const;
 
   // Constructs the device (with admin handles and a configured-but-stopped
   // rig) on a new timeline set to now(). Returns its device index.
   std::size_t add_device(devices::DeviceId id, std::uint64_t seed) override;
 
   std::size_t device_count() const override { return devices_.size(); }
-  devices::DeviceBundle& device(std::size_t i) override { return *devices_[i]; }
-  const devices::DeviceBundle& device(std::size_t i) const override { return *devices_[i]; }
+  devices::DeviceBundle& device(std::size_t i) override;
+  const devices::DeviceBundle& device(std::size_t i) const override;
   std::size_t index_of(const sim::BlockDevice* dev) const override;
-
-  void set_router(Router router) override { router_ = std::move(router); }
 
   // Selects when the rigs are drained into the fleet sum (fleet_host.h).
   void set_trace_mode(TraceMode mode) override { trace_mode_ = mode; }
 
-  // Queues a job for the given device (or routed through the Router).
-  // Returns the job index. The job's IoEngine is created on the next
-  // run_jobs()/run_epoch() call.
+  // Queues a job for the given device. Returns the job index. The job's
+  // IoEngine is created on the next run_jobs()/run_epoch() call.
   std::size_t add_job(const iogen::JobSpec& spec, std::size_t device_index) override;
-  std::size_t add_job(const iogen::JobSpec& spec) override;
 
   std::size_t job_count() const override { return jobs_.size(); }
-  std::size_t job_device(std::size_t job) const override { return jobs_[job].device; }
-  const iogen::JobSpec& job_spec(std::size_t job) const override;
+  std::size_t job_device(std::size_t job) const override;
   // Valid once the job has been started by run_jobs()/run_epoch().
   const iogen::JobResult& job_result(std::size_t job) const override;
 
@@ -149,8 +144,6 @@ class Testbed final : public FleetHost {
   std::vector<std::unique_ptr<sim::Simulator>> sims_;
   std::vector<std::unique_ptr<devices::DeviceBundle>> devices_;
   std::vector<Job> jobs_;
-  Router router_;
-  std::size_t round_robin_ = 0;
 
   TimeNs now_ = 0;  // the fleet clock: every timeline reads it between calls
   TraceMode trace_mode_ = TraceMode::kFullTraces;
@@ -170,9 +163,8 @@ struct FleetDeviceOptions {
 // Live-fleet adapter: binds a PowerAdaptiveController to a FleetHost's
 // devices, closing the section 4 loop — budget steps reach the real
 // NVMe/SATA admin paths of the live devices, and the IO-redirection /
-// write-segregation policy routes the host's live jobs (the adapter
-// installs itself as the host's Router). Works identically over a Testbed
-// or one shard group of a ShardedTestbed.
+// write-segregation policy routes the host's live jobs (submit()). Works
+// identically over a Testbed or one shard group of a ShardedTestbed.
 class FleetAdapter {
  public:
   // `options[i]` describes host device i; sizes must match.

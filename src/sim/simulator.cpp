@@ -6,11 +6,7 @@
 namespace pas::sim {
 
 Simulator::Simulator()
-    : heap_t_(new TimeNs[1024]),
-      heap_meta_(new Meta[1024]),
-      heap_cap_(1024),
-      mono_(new MonoEntry[1024]),
-      mono_cap_(1024) {}
+    : heap_t_(new TimeNs[1024]), heap_meta_(new Meta[1024]), heap_cap_(1024) {}
 
 Simulator::~Simulator() {
   // Fired and cancelled slots already had their callback reset, so the only
@@ -20,10 +16,6 @@ Simulator::~Simulator() {
   // their remaining members are trivial.
   for (std::size_t i = 0; i < heap_size_; ++i) {
     const EventId id = heap_meta_[i].id;
-    if (id_live(id)) slot(slot_of(id)).cb.reset();
-  }
-  for (std::size_t i = 0; i < mono_size_; ++i) {
-    const EventId id = mono_[(mono_head_ + i) & (mono_cap_ - 1)].id;
     if (id_live(id)) slot(slot_of(id)).cb.reset();
   }
 }
@@ -41,18 +33,6 @@ void Simulator::grow_heap() {
   heap_t_ = std::move(t);
   heap_meta_ = std::move(m);
   heap_cap_ = cap;
-}
-
-void Simulator::grow_mono() {
-  const std::size_t cap = mono_cap_ * 2;
-  std::unique_ptr<MonoEntry[]> ring(new MonoEntry[cap]);
-  // Linearize the old ring while copying so head restarts at zero.
-  for (std::size_t i = 0; i < mono_size_; ++i) {
-    ring[i] = mono_[(mono_head_ + i) & (mono_cap_ - 1)];
-  }
-  mono_ = std::move(ring);
-  mono_head_ = 0;
-  mono_cap_ = cap;
 }
 
 void Simulator::sift_down(std::size_t i) {
@@ -78,7 +58,7 @@ void Simulator::sift_down(std::size_t i) {
 }
 
 void Simulator::prune_heap() {
-  // Lazy deletion leaves tombstones in both queues; compact once they
+  // Lazy deletion leaves tombstones in the heap; compact once they
   // dominate so cancel-heavy workloads (timeout guards that almost never
   // fire) stay O(live). Filtering + re-heapifying preserves the (t, seq)
   // total order, so execution order is unchanged.
@@ -92,16 +72,6 @@ void Simulator::prune_heap() {
     }
   }
   heap_size_ = out;
-  // The mono ring compacts in place: dropping dead entries keeps it sorted.
-  std::size_t mout = 0;
-  for (std::size_t i = 0; i < mono_size_; ++i) {
-    const MonoEntry e = mono_[(mono_head_ + i) & (mono_cap_ - 1)];
-    if (id_live(e.id)) {
-      mono_[(mono_head_ + mout) & (mono_cap_ - 1)] = e;
-      ++mout;
-    }
-  }
-  mono_size_ = mout;
   stale_in_heap_ = 0;
   if (out < 2) return;
   for (std::size_t i = ((out - 2) >> kArityShift) + 1; i-- > 0;) sift_down(i);

@@ -4,17 +4,14 @@
 // (open-loop arrivals included), and the measurement rig all schedule
 // callbacks here, so step() and run_until() advance everything and nothing
 // waits outside the queue. Events with equal timestamps fire in scheduling
-// order (a monotonically increasing sequence number breaks ties), the one
-// ordering rule, which makes every run deterministic.
+// order (a sequence number that rises with every schedule breaks ties), the
+// one ordering rule, which makes every run deterministic.
 //
 // Internals (see DESIGN.md "Event-kernel internals"): callbacks live in a
 // paged slab of fixed-size slots recycled through a free list, EventIds carry
 // a generation tag so cancel() is an O(1) slot probe and a stale id from a
-// reused slot safely returns false, and the ready queue is split into a
-// sorted monotone-tail ring (O(1) push/pop for events scheduled at or past
-// every earlier timestamp — timer chains, periodic ticks, in-order
-// completions) backed by an index-based 4-ary min-heap for out-of-order
-// inserts, both with lazy deletion of cancelled entries. The schedule and
+// reused slot safely returns false, and the ready queue is one index-based
+// 4-ary min-heap with lazy deletion of cancelled entries. The schedule and
 // fire paths are header-inline on purpose: schedule_at() constructs the
 // caller's capture directly into its slab slot, and fire_next() runs the
 // callback in place, so the hot loop does no callback moves and no heap
@@ -62,17 +59,7 @@ class Simulator {
     Slot& s = alloc_slot(idx);
     s.cb.construct(std::forward<F>(cb));  // slot callbacks are always empty here
     const EventId id = make_id(idx, s.gen);
-    const std::uint64_t seq = next_seq_++;
-    // Fast lane: an event at or past every time ever scheduled extends the
-    // sorted monotone tail, an O(1) FIFO append. Timer chains, periodic
-    // ticks, and in-order completions all take this path; only genuinely
-    // out-of-order inserts pay the heap's O(log n).
-    if (t >= max_t_) {
-      max_t_ = t;
-      mono_push(t, seq, id);
-    } else {
-      heap_push(t, seq, id);
-    }
+    heap_push(t, next_seq_++, id);
     ++live_;
     return id;
   }
@@ -96,7 +83,7 @@ class Simulator {
     release_slot(idx);
     --live_;
     ++stale_in_heap_;  // the heap entry stays behind as a tombstone
-    if (stale_in_heap_ >= 64 && stale_in_heap_ * 2 >= heap_size_ + mono_size_) {
+    if (stale_in_heap_ >= 64 && stale_in_heap_ * 2 >= heap_size_) {
       prune_heap();
     }
     return true;
@@ -141,14 +128,6 @@ class Simulator {
   // sift read one contiguous 32-byte run of timestamps instead of striding
   // over 24-byte records; the seq tie-break is only loaded on equal stamps.
   struct Meta {
-    std::uint64_t seq;
-    EventId id;
-  };
-
-  // One entry of the monotone tail: a power-of-two ring of events appended in
-  // nondecreasing (t, seq) order, popped from the front in O(1).
-  struct MonoEntry {
-    TimeNs t;
     std::uint64_t seq;
     EventId id;
   };
@@ -232,49 +211,18 @@ class Simulator {
   // fires the earliest live event if its timestamp is <= limit. Returns false
   // (firing nothing) when the queue drains or the next event is past `limit`.
   bool fire_next(TimeNs limit) {
-    for (;;) {
-      TimeNs top_t;
-      EventId top_id;
-      bool from_mono;
-      // Pick the earlier of the two queue fronts by the same (t, seq) key
-      // the heap orders on, so the merged pop sequence is exactly the order
-      // a single queue would produce.
-      if (mono_size_ != 0) {
-        const MonoEntry& f = mono_[mono_head_];
-        if (heap_size_ != 0 &&
-            (heap_t_[0] < f.t ||
-             (heap_t_[0] == f.t && heap_meta_[0].seq < f.seq))) {
-          top_t = heap_t_[0];
-          top_id = heap_meta_[0].id;
-          from_mono = false;
-        } else {
-          top_t = f.t;
-          top_id = f.id;
-          from_mono = true;
-        }
-      } else {
-        if (heap_size_ == 0) return false;
-        top_t = heap_t_[0];
-        top_id = heap_meta_[0].id;
-        from_mono = false;
-      }
+    while (heap_size_ != 0) {
+      const TimeNs top_t = heap_t_[0];
+      const EventId top_id = heap_meta_[0].id;
       const std::uint32_t idx = slot_of(top_id);
       Slot& s = slot(idx);
       if (s.gen != gen_of(top_id)) {  // cancelled: lazy removal
-        if (from_mono) {
-          mono_pop_front();
-        } else {
-          heap_pop_root();
-        }
+        heap_pop_root();
         --stale_in_heap_;
         continue;
       }
       if (top_t > limit) return false;
-      if (from_mono) {
-        mono_pop_front();
-      } else {
-        heap_pop_root();
-      }
+      heap_pop_root();
       // Bump the generation *before* invoking so a cancel() of the
       // now-running id returns false, but keep the slot off the free list
       // until the callback returns: its captures stay valid in place (pages
@@ -289,16 +237,7 @@ class Simulator {
       free_head_ = idx;
       return true;
     }
-  }
-
-  void mono_push(TimeNs t, std::uint64_t seq, EventId id) {
-    if (mono_size_ == mono_cap_) grow_mono();
-    mono_[(mono_head_ + mono_size_++) & (mono_cap_ - 1)] = MonoEntry{t, seq, id};
-  }
-
-  void mono_pop_front() {
-    mono_head_ = (mono_head_ + 1) & (mono_cap_ - 1);
-    --mono_size_;
+    return false;
   }
 
   void heap_push(TimeNs t, std::uint64_t seq, EventId id) {
@@ -363,7 +302,6 @@ class Simulator {
 
   void grow_pages();
   void grow_heap();
-  void grow_mono();
   void sift_down(std::size_t i);
   void prune_heap();
 
@@ -379,11 +317,6 @@ class Simulator {
   std::unique_ptr<Meta[]> heap_meta_;
   std::size_t heap_size_ = 0;
   std::size_t heap_cap_ = 0;
-  std::unique_ptr<MonoEntry[]> mono_;  // sorted monotone-tail ring
-  std::size_t mono_head_ = 0;
-  std::size_t mono_size_ = 0;
-  std::size_t mono_cap_ = 0;
-  TimeNs max_t_ = 0;  // max timestamp ever scheduled (simulated time >= 0)
 };
 
 // Repeats a callback every `period` until stop() or the owning simulator

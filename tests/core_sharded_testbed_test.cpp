@@ -172,11 +172,29 @@ TEST(ShardedTestbed, GlobalIndicesSpanShards) {
   for (std::size_t i = 0; i < 7; ++i) {
     EXPECT_EQ(host.index_of(host.device(i).device.get()), i);
   }
-  // The default router round-robins over GLOBAL device order.
+  // Jobs take global indices in add_job order and land on their device's
+  // shard: devices 6 down to 0, then 6 and 5 again.
   const iogen::JobSpec spec = small_randwrite(256 * 1024, 4);
   for (std::size_t j = 0; j < 9; ++j) {
-    EXPECT_EQ(host.job_device(host.add_job(spec)), j % 7);
+    const std::size_t d = 6 - j % 7;
+    EXPECT_EQ(host.add_job(spec, d), j);
+    EXPECT_EQ(host.job_device(j), d);
   }
+  EXPECT_EQ(host.shard(0).job_count(), 4u);  // devices 6, 3, 0, 6
+  EXPECT_EQ(host.shard(1).job_count(), 2u);  // devices 4, 1
+  EXPECT_EQ(host.shard(2).job_count(), 3u);  // devices 5, 2, 5
+}
+
+// An out-of-range shard, device or job index fails a named check rather than
+// reading past the end of a vector.
+TEST(ShardedTestbedDeathTest, IndexAccessorsCheckTheirRange) {
+  ShardedTestbed host(2, 1);
+  for (std::size_t i = 0; i < 3; ++i) host.add_device(kTypes[i], 50 + i);
+  host.add_job(small_randwrite(256 * 1024, 4), 0);
+  EXPECT_DEATH(host.shard(2), "PAS_CHECK failed");
+  EXPECT_DEATH(host.shard_of_device(3), "PAS_CHECK failed");
+  EXPECT_DEATH(host.local_device_index(3), "PAS_CHECK failed");
+  EXPECT_DEATH(host.job_device(1), "PAS_CHECK failed");
 }
 
 // The epoch barrier: run_until never advances more than max_epoch per epoch,

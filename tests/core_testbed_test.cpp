@@ -102,33 +102,15 @@ TEST(Testbed, RunCellMatchesHandWiredHarnessExactly) {
   }
 }
 
-TEST(Testbed, DefaultRouterRoundRobinsAcrossDevices) {
+// An out-of-range device, timeline or job index fails a named check rather
+// than reading past the end of a vector.
+TEST(TestbedDeathTest, IndexAccessorsCheckTheirRange) {
   Testbed testbed;
   testbed.add_device(devices::DeviceId::kSsd2, 1);
-  testbed.add_device(devices::DeviceId::kSsd2, 2);
-  testbed.add_device(devices::DeviceId::kHdd, 3);
-  const iogen::JobSpec spec = small_randwrite(256 * 1024, 4);
-  EXPECT_EQ(testbed.job_device(testbed.add_job(spec)), 0u);
-  EXPECT_EQ(testbed.job_device(testbed.add_job(spec)), 1u);
-  EXPECT_EQ(testbed.job_device(testbed.add_job(spec)), 2u);
-  EXPECT_EQ(testbed.job_device(testbed.add_job(spec)), 0u);
-}
-
-TEST(Testbed, RouterHookDirectsRoutedJobs) {
-  Testbed testbed;
-  testbed.add_device(devices::DeviceId::kSsd2, 1);
-  testbed.add_device(devices::DeviceId::kSsd2, 2);
-  // Route by op: writes to device 1, everything else to device 0.
-  testbed.set_router([](const iogen::JobSpec& spec, std::size_t) {
-    return spec.op == iogen::OpKind::kWrite ? std::size_t{1} : std::size_t{0};
-  });
-  iogen::JobSpec write = small_randwrite(256 * 1024, 4);
-  iogen::JobSpec read = write;
-  read.op = iogen::OpKind::kRead;
-  EXPECT_EQ(testbed.job_device(testbed.add_job(write)), 1u);
-  EXPECT_EQ(testbed.job_device(testbed.add_job(read)), 0u);
-  // The explicit-device overload bypasses the router.
-  EXPECT_EQ(testbed.job_device(testbed.add_job(write, 0)), 0u);
+  testbed.add_job(small_randwrite(256 * 1024, 4), 0);
+  EXPECT_DEATH(testbed.device(1), "PAS_CHECK failed");
+  EXPECT_DEATH(testbed.sim(1), "PAS_CHECK failed");
+  EXPECT_DEATH(testbed.job_device(1), "PAS_CHECK failed");
 }
 
 TEST(Testbed, ManyDevicesRunUnderOneFleetClock) {

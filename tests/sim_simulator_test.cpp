@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <utility>
 #include <vector>
 
@@ -200,38 +201,90 @@ TEST(Simulator, StaleIdAfterSlotReuseFails) {
   EXPECT_EQ(fired, 8);
 }
 
-TEST(Simulator, CancelHeavyPruningKeepsSurvivorOrder) {
-  // Cancel enough tombstones to trigger heap pruning mid-stream, then check
-  // the surviving events still fire in exact (time, schedule-order) order.
-  Simulator s;
-  Rng rng(11);
-  std::vector<int> order;
-  std::vector<Simulator::EventId> guards;
-  constexpr int kEvents = 400;
-  for (int i = 0; i < kEvents; ++i) {
-    const TimeNs t = milliseconds(static_cast<TimeNs>(1 + rng.next_below(50)));
-    if (i % 2 == 0) {
-      s.schedule_at(t, [&order, i] { order.push_back(i); });
-    } else {
-      guards.push_back(s.schedule_at(seconds(10) + t, [] { FAIL(); }));
+// Schedules on one Simulator and logs every schedule, so a run can be checked
+// against its reference order: the uncancelled schedules stably sorted by
+// timestamp, i.e. (time, schedule order).
+struct OrderLog {
+  Simulator sim;
+  std::vector<TimeNs> times;  // by tag = schedule index
+  std::vector<Simulator::EventId> ids;
+  std::vector<bool> cancelled;
+  std::vector<int> fired;
+
+  // Schedules an event that logs its tag, then calls then(tag) if given.
+  int schedule(TimeNs t, std::function<void(int)> then = nullptr) {
+    const int tag = static_cast<int>(times.size());
+    times.push_back(t);
+    cancelled.push_back(false);
+    ids.push_back(sim.schedule_at(t, [this, tag, then = std::move(then)] {
+      fired.push_back(tag);
+      if (then) then(tag);
+    }));
+    return tag;
+  }
+
+  void cancel(int tag) {
+    EXPECT_TRUE(sim.cancel(ids[tag]));
+    cancelled[tag] = true;
+  }
+
+  void run_and_check() {
+    sim.run_to_completion();
+    EXPECT_EQ(sim.pending_events(), 0u);
+    std::vector<int> expected;
+    for (int tag = 0; tag < static_cast<int>(times.size()); ++tag) {
+      if (!cancelled[tag]) expected.push_back(tag);
     }
+    std::stable_sort(expected.begin(), expected.end(),
+                     [this](int a, int b) { return times[a] < times[b]; });
+    EXPECT_EQ(fired, expected);
   }
-  for (auto id : guards) EXPECT_TRUE(s.cancel(id));  // 200 cancels => prune
-  s.run_to_completion();
-  EXPECT_EQ(order.size(), static_cast<std::size_t>(kEvents / 2));
-  EXPECT_EQ(s.pending_events(), 0u);
-  // A reference replay (stable sort by timestamp = FIFO within equal stamps)
-  // validates the exact global order of the survivors.
-  Rng rng2(11);
-  std::vector<std::pair<TimeNs, int>> keyed;
-  for (int i = 0; i < kEvents; ++i) {
-    const TimeNs t = milliseconds(static_cast<TimeNs>(1 + rng2.next_below(50)));
-    if (i % 2 == 0) keyed.emplace_back(t, i);
+};
+
+TEST(Simulator, CancelHeavyPruningKeepsSurvivorOrder) {
+  // Cancel enough tombstones to trigger heap pruning, then check the
+  // surviving events still fire in exact (time, schedule-order) order.
+  {
+    // Random stamps; half the events are far-future guards, all cancelled
+    // before the run.
+    OrderLog log;
+    Rng rng(11);
+    std::vector<int> guards;
+    for (int i = 0; i < 400; ++i) {
+      const TimeNs t = milliseconds(static_cast<TimeNs>(1 + rng.next_below(50)));
+      if (i % 2 == 0) {
+        log.schedule(t);
+      } else {
+        guards.push_back(log.schedule(seconds(10) + t));
+      }
+    }
+    for (int tag : guards) log.cancel(tag);  // 200 cancels => prune
+    log.run_and_check();
   }
-  std::stable_sort(keyed.begin(), keyed.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (std::size_t i = 0; i < keyed.size(); ++i) {
-    EXPECT_EQ(order[i], keyed[i].second) << "survivor order diverged at " << i;
+  {
+    // 1 600 in-order appends (over 1 024 pending, so the heap grows), stamps
+    // shared by groups of four. Every third event schedules one more at its
+    // own or the next group's stamp, earlier than most pending events; event
+    // 100 cancels 932 pending events, so the heap prunes mid-run.
+    OrderLog log;
+    constexpr int kAppends = 1600;
+    for (int i = 0; i < kAppends; ++i) {
+      const TimeNs t = microseconds(10.0 * (1 + i / 4));
+      if (i == 100) {
+        log.schedule(t, [&log](int) {
+          for (int v = 201; v < kAppends; ++v) {
+            if (v % 3 != 0) log.cancel(v);
+          }
+        });
+      } else if (i % 3 == 0) {
+        log.schedule(t, [&log](int tag) {
+          log.schedule(log.sim.now() + microseconds(10.0 * (tag % 2)));
+        });
+      } else {
+        log.schedule(t);
+      }
+    }
+    log.run_and_check();
   }
 }
 
